@@ -162,9 +162,17 @@ class XmlIndexAdvisor:
         """Step 1: basic candidates via the Enumerate Indexes mode."""
         return enumerate_basic_candidates(queries, self.database, self.optimizer)
 
-    def generalize(self, candidates: CandidateSet) -> GeneralizationResult:
-        """Step 2: expand candidates with the generalization rules."""
-        return generalize_candidates(candidates, self.parameters)
+    def generalize(self, candidates: CandidateSet,
+                   excluded_keys: Optional[FrozenSet[Tuple[str, str]]] = None
+                   ) -> GeneralizationResult:
+        """Step 2: expand candidates with the generalization rules; the
+        kernel's work counts land on ``self.metrics``."""
+        result = generalize_candidates(candidates, self.parameters, excluded_keys)
+        counter = self.metrics.counter
+        counter("advisor.generalize.pairs_examined").inc(result.pairs_examined)
+        counter("advisor.generalize.patterns_produced").inc(result.patterns_produced)
+        counter("advisor.generalize.containment_tests").inc(result.containment_tests)
+        return result
 
     def build_evaluator(self, queries: Sequence[NormalizedQuery]) -> ConfigurationEvaluator:
         """The Evaluate Indexes-backed benefit evaluator for ``queries``."""
@@ -196,8 +204,9 @@ class XmlIndexAdvisor:
         ``excluded_keys`` -- candidate keys (pattern text, value type
         name) that must never be recommended; the online controller
         passes its quarantined definitions here.  The filter runs after
-        generalization because the generalization rules can re-create an
-        excluded pattern from a surviving one.
+        the expansion because the generalization rules can re-create an
+        excluded pattern from a surviving one, and before the one DAG
+        build.
         """
         phase_seconds: Dict[str, float] = {}
 
@@ -210,13 +219,9 @@ class XmlIndexAdvisor:
         phase_seconds["enumerate"] = wall_clock() - start
 
         start = wall_clock()
-        generalization = self.generalize(basic)
+        generalization = self.generalize(basic, excluded_keys)
         candidates = generalization.candidates
         dag = generalization.dag
-        if excluded_keys:
-            candidates = CandidateSet(c for c in candidates
-                                      if c.key not in excluded_keys)
-            dag = GeneralizationDag(candidates)
         phase_seconds["generalize"] = wall_clock() - start
 
         start = wall_clock()

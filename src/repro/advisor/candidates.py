@@ -10,8 +10,8 @@ on them") and by the reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.index.definition import IndexDefinition
 from repro.optimizer.explain import enumerate_indexes
@@ -22,6 +22,16 @@ from repro.xquery.model import NormalizedQuery, PathPredicate, ValueType
 
 #: Identity of a candidate: (pattern text, value type name).
 CandidateKey = Tuple[str, str]
+
+
+def extend_unique(target: list, items: Iterable[Hashable]) -> None:
+    """Append the ``items`` not yet in ``target``, keeping first-seen
+    order; membership is by hash."""
+    seen = set(target)
+    for item in items:
+        if item not in seen:
+            seen.add(item)
+            target.append(item)
 
 
 @dataclass
@@ -99,9 +109,7 @@ class CandidateSet:
             self._by_key[candidate.key] = candidate
             return candidate
         existing.benefiting_queries.update(candidate.benefiting_queries)
-        for predicate in candidate.covered_predicates:
-            if predicate not in existing.covered_predicates:
-                existing.covered_predicates.append(predicate)
+        extend_unique(existing.covered_predicates, candidate.covered_predicates)
         # A candidate that is both basic and generalized stays basic (it
         # was explicitly requested by some query).
         if candidate.source == "basic":
@@ -138,12 +146,10 @@ class CandidateSet:
 
     def copy(self) -> "CandidateSet":
         fresh = CandidateSet()
-        for candidate in self._by_key.values():
-            fresh.add(CandidateIndex(pattern=candidate.pattern,
-                                     value_type=candidate.value_type,
-                                     source=candidate.source,
-                                     benefiting_queries=set(candidate.benefiting_queries),
-                                     covered_predicates=list(candidate.covered_predicates)))
+        fresh._by_key = {
+            key: replace(candidate, benefiting_queries=set(candidate.benefiting_queries),
+                         covered_predicates=list(candidate.covered_predicates))
+            for key, candidate in self._by_key.items()}
         return fresh
 
     def describe(self) -> str:

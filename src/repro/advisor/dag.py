@@ -6,67 +6,73 @@ possible generalizations of this pattern").  The DAG's roots are the
 most general candidates obtainable from the workload; the top-down
 search walks it root-to-leaf.
 
-Edges are computed from exact pattern containment restricted to
-same-value-type candidates, then transitively reduced so that parents
-are immediate generalizations only.
+Edges come from exact pattern containment restricted to
+same-value-type candidates (:func:`containment_relation`, computed once
+and shared with the generalization kernel), transitively reduced so
+that parents are immediate generalizations only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.advisor.candidates import CandidateIndex, CandidateKey, CandidateSet
 from repro.xpath.patterns import pattern_contains
 
+#: Candidate key -> the same-value-type candidates it contains, by key.
+Containment = Mapping[CandidateKey, Mapping[CandidateKey, CandidateIndex]]
+
+
+def containment_relation(candidates: Iterable[CandidateIndex]) -> Tuple[Containment, int]:
+    """The containment relation and the number of :func:`pattern_contains`
+    calls made: one per ordered same-type pair.  Items only need ``key``,
+    ``pattern`` and ``value_type`` attributes."""
+    groups: Dict[object, List[CandidateIndex]] = {}
+    for candidate in candidates:
+        groups.setdefault(candidate.value_type, []).append(candidate)
+    relation: Dict[CandidateKey, Dict[CandidateKey, CandidateIndex]] = {}
+    tests = 0
+    for group in groups.values():
+        for general in group:
+            others = [specific for specific in group if specific is not general]
+            tests += len(others)
+            relation[general.key] = {
+                specific.key: specific for specific in others
+                if pattern_contains(general.pattern, specific.pattern)}
+    return relation, tests
+
 
 class GeneralizationDag:
-    """Parent/child structure over a candidate set."""
+    """Parent/child structure over a candidate set.
 
-    def __init__(self, candidates: CandidateSet) -> None:
+    ``containment`` is the relation the edges are reduced from; it may
+    cover more candidates than the set and is computed when not supplied.
+    """
+
+    def __init__(self, candidates: CandidateSet,
+                 containment: Optional[Containment] = None) -> None:
         self._candidates = candidates
-        #: child key -> set of parent keys (direct generalizations).
-        self._parents: Dict[CandidateKey, Set[CandidateKey]] = {}
-        #: parent key -> set of child keys (direct specializations).
-        self._children: Dict[CandidateKey, Set[CandidateKey]] = {}
-        self._build()
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        candidates = self._candidates.candidates
-        for candidate in candidates:
-            self._parents.setdefault(candidate.key, set())
-            self._children.setdefault(candidate.key, set())
-
-        # All strict generalization relations (ancestor map).
+        if containment is None:
+            containment, _ = containment_relation(candidates)
+        # Strict generalizations (ancestors) of every candidate in the set.
         ancestors: Dict[CandidateKey, Set[CandidateKey]] = {
-            c.key: set() for c in candidates}
-        for child in candidates:
-            for parent in candidates:
-                if parent.key == child.key:
-                    continue
-                if parent.value_type is not child.value_type:
-                    continue
-                if (pattern_contains(parent.pattern, child.pattern)
-                        and not pattern_contains(child.pattern, parent.pattern)):
-                    ancestors[child.key].add(parent.key)
-
-        # Transitive reduction: a parent is direct if no other ancestor of
-        # the child is a descendant of that parent.
-        for child_key, child_ancestors in ancestors.items():
-            for parent_key in child_ancestors:
-                direct = True
-                for other_key in child_ancestors:
-                    if other_key == parent_key:
-                        continue
-                    if parent_key in ancestors[other_key]:
-                        direct = False
-                        break
-                if direct:
-                    self._parents[child_key].add(parent_key)
-                    self._children[parent_key].add(child_key)
+            candidate.key: set() for candidate in candidates}
+        for parent in ancestors:
+            for child in containment[parent]:
+                if child in ancestors and parent not in containment[child]:
+                    ancestors[child].add(parent)
+        #: child key -> set of parent keys (direct generalizations): an
+        #: ancestor is direct if no other ancestor of the child is a
+        #: descendant of it (transitive reduction).
+        self._parents: Dict[CandidateKey, Set[CandidateKey]] = {
+            child: above - set().union(*(ancestors[other] for other in above))
+            for child, above in ancestors.items()}
+        #: parent key -> set of child keys (direct specializations).
+        self._children: Dict[CandidateKey, Set[CandidateKey]] = {
+            key: set() for key in ancestors}
+        for child, parents in self._parents.items():
+            for parent in parents:
+                self._children[parent].add(child)
 
     # ------------------------------------------------------------------
     # Queries

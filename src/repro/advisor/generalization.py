@@ -21,24 +21,37 @@ Rules are applied per value type, to fixpoint or a configured number of
 rounds, and every generalized candidate records which workload queries
 it (transitively) covers.  The result also carries the
 :class:`~repro.advisor.dag.GeneralizationDag` over the expanded set.
+
+The kernel is *key-first* (invariants: ROADMAP.md, "Generalization
+kernel"); its output equals that of the naive oracle in
+``tests/reference/generalization_reference.py``.
+
+Known quirk, pinned by ``test_prefix_candidate_inherits_uncontained_sources``:
+a ``prefix//*`` candidate inherits the queries and predicates of both
+sources even when one is an attribute path it does not contain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
-from repro.advisor.candidates import CandidateIndex, CandidateSet
+from repro.advisor.candidates import (
+    CandidateIndex,
+    CandidateKey,
+    CandidateSet,
+    extend_unique,
+)
 from repro.advisor.config import AdvisorParameters
-from repro.advisor.dag import GeneralizationDag
+from repro.advisor.dag import GeneralizationDag, containment_relation
 from repro.xpath.patterns import (
     PathPattern,
     generalize_pair,
     generalize_prefix,
     generalize_tail,
 )
-from repro.xquery.model import ValueType
+from repro.xquery.model import PathPredicate, ValueType
 
 
 @dataclass
@@ -47,122 +60,139 @@ class GeneralizationResult:
 
     candidates: CandidateSet
     dag: GeneralizationDag
+    #: Sizes of the input and of the expansion, before excluded keys go.
     basic_count: int
     generalized_count: int
     rounds_used: int
+    #: Deterministic work counts: pairs visited over all rounds, patterns
+    #: emitted before the by-key deduplication, ``pattern_contains`` calls.
+    pairs_examined: int = 0
+    patterns_produced: int = 0
+    containment_tests: int = 0
 
     def describe(self) -> str:
+        total = self.basic_count + self.generalized_count
         return (f"generalization: {self.basic_count} basic candidates expanded to "
-                f"{len(self.candidates)} ({self.generalized_count} generalized) "
-                f"in {self.rounds_used} round(s); DAG depth {self.dag.depth()}")
+                f"{total} ({self.generalized_count} generalized, "
+                f"{total - len(self.candidates)} excluded) "
+                f"in {self.rounds_used} round(s); DAG depth {self.dag.depth()}; "
+                f"{self.pairs_examined} pairs examined, "
+                f"{self.patterns_produced} patterns produced, "
+                f"{self.containment_tests} containment tests")
 
 
-def _new_candidate(pattern: PathPattern, value_type: ValueType,
-                   sources: Sequence[CandidateIndex]) -> CandidateIndex:
-    benefiting: Set[str] = set()
-    predicates = []
-    for source in sources:
-        benefiting.update(source.benefiting_queries)
-        for predicate in source.covered_predicates:
-            if predicate not in predicates:
-                predicates.append(predicate)
-    return CandidateIndex(pattern=pattern, value_type=value_type,
-                          source="generalized",
-                          benefiting_queries=benefiting,
-                          covered_predicates=predicates)
+class _Entry:
+    """Kernel state of one candidate key."""
 
+    __slots__ = ("pattern", "value_type", "source", "key",
+                 "queries", "predicates", "order")
 
-def _apply_pairwise_rules(candidates: List[CandidateIndex],
-                          parameters: AdvisorParameters) -> List[CandidateIndex]:
-    """One round of pairwise generalization over same-type candidates."""
-    produced: List[CandidateIndex] = []
-    for first, second in combinations(candidates, 2):
-        generalized = generalize_pair(first.pattern, second.pattern)
-        if generalized is not None:
-            produced.append(_new_candidate(generalized, first.value_type,
-                                           [first, second]))
-        if parameters.enable_prefix_generalization:
-            prefixed = generalize_prefix(first.pattern, second.pattern)
-            if prefixed is not None:
-                produced.append(_new_candidate(prefixed, first.value_type,
-                                               [first, second]))
-    return produced
+    def __init__(self, pattern: PathPattern, value_type: ValueType, source: str) -> None:
+        self.pattern, self.value_type, self.source = pattern, value_type, source
+        self.key: CandidateKey = (pattern.to_text(), value_type.value)
+        #: Bitmasks over the interned query / predicate ids, and the
+        #: predicate ids in first-discovery order.
+        self.queries = self.predicates = 0
+        self.order: List[int] = []
 
-
-def _apply_tail_rule(candidates: List[CandidateIndex]) -> List[CandidateIndex]:
-    """Tail generalization of already-generalized candidates.
-
-    Applying it only to generalized candidates reproduces the paper's
-    example (``/regions/*/item/quantity`` -> ``/regions/*/item/*``)
-    without exploding every single-query candidate into a wildcard.
-    """
-    produced: List[CandidateIndex] = []
-    for candidate in candidates:
-        if not candidate.is_generalized:
-            continue
-        generalized = generalize_tail(candidate.pattern)
-        if generalized is not None:
-            produced.append(_new_candidate(generalized, candidate.value_type,
-                                           [candidate]))
-    return produced
+    def absorb(self, queries: int, predicates: int, order: List[int]) -> None:
+        self.queries |= queries
+        if predicates & ~self.predicates:
+            self.predicates |= predicates
+            extend_unique(self.order, order)
 
 
 def generalize_candidates(basic: CandidateSet,
-                          parameters: Optional[AdvisorParameters] = None
+                          parameters: Optional[AdvisorParameters] = None,
+                          excluded_keys: Optional[FrozenSet[CandidateKey]] = None
                           ) -> GeneralizationResult:
-    """Expand ``basic`` with generalized candidates and build the DAG."""
+    """Expand ``basic`` with generalized candidates and build the DAG.
+
+    ``excluded_keys`` are dropped from the result after the expansion
+    (the rules can re-create an excluded pattern from a surviving one,
+    and an excluded candidate still passes its attribution upwards); the
+    DAG is built once, over the survivors.
+    """
     parameters = parameters or AdvisorParameters()
-    expanded = basic.copy()
-    basic_count = len(expanded)
-    rounds_used = 0
+    cap = parameters.max_candidates
+    with_prefix = parameters.enable_prefix_generalization
+    rounds_used = pairs_examined = patterns_produced = 0
+
+    query_ids: Dict[str, int] = {}
+    predicate_ids: Dict[PathPredicate, int] = {}
+    entries: Dict[CandidateKey, _Entry] = {}
+    groups: Dict[ValueType, List[_Entry]] = {value_type: [] for value_type in ValueType}
+    for candidate in basic:
+        entry = _Entry(candidate.pattern, candidate.value_type, candidate.source)
+        for query_id in candidate.benefiting_queries:
+            entry.queries |= 1 << query_ids.setdefault(query_id, len(query_ids))
+        for predicate in candidate.covered_predicates:
+            entry.order.append(predicate_ids.setdefault(predicate, len(predicate_ids)))
+            entry.predicates |= 1 << entry.order[-1]
+        entries[entry.key] = entry
+        groups[entry.value_type].append(entry)
+
+    def emissions(members: List[_Entry], size: int):
+        """``(pattern or None, source positions)`` for every rule
+        application of one round over a group, in emission order."""
+        nonlocal pairs_examined
+        for i, j in combinations(range(size), 2):
+            pairs_examined += 1
+            first, second = members[i].pattern, members[j].pattern
+            yield generalize_pair(first, second), (i, j)
+            if with_prefix:
+                yield generalize_prefix(first, second), (i, j)
+        # Tails of generalized members only: the paper's example, without
+        # turning every single-query candidate into a wildcard.
+        for i in range(size):
+            if members[i].source == "generalized":
+                yield generalize_tail(members[i].pattern), (i,)
 
     for _ in range(parameters.generalization_rounds):
-        if len(expanded) >= parameters.max_candidates:
+        if len(entries) >= cap:
             break
         rounds_used += 1
-        added_this_round = 0
-        for value_type in ValueType:
-            group = expanded.by_value_type(value_type)
-            if len(group) < 1:
-                continue
-            produced = _apply_pairwise_rules(group, parameters)
-            produced.extend(_apply_tail_rule(group))
-            for candidate in produced:
-                if len(expanded) >= parameters.max_candidates:
+        before = len(entries)
+        for value_type, members in groups.items():
+            if len(entries) >= cap:
+                break
+            # Attribution as of now: merges below must not feed patterns
+            # emitted later in this pass.
+            sources = [(member.queries, member.predicates, list(member.order))
+                       for member in members]
+            for pattern, positions in emissions(members, len(sources)):
+                if pattern is None:
+                    continue
+                if len(entries) >= cap:
                     break
-                if expanded.get(candidate.key) is None:
-                    expanded.add(candidate)
-                    added_this_round += 1
-                else:
-                    # Merge query attribution into the existing entry.
-                    expanded.add(candidate)
-        if added_this_round == 0:
+                patterns_produced += 1
+                key = (pattern.to_text(), value_type.value)
+                entry = entries.get(key)
+                if entry is None:
+                    entry = entries[key] = _Entry(pattern, value_type, "generalized")
+                    members.append(entry)
+                for position in positions:
+                    entry.absorb(*sources[position])
+        if len(entries) == before:
             break
 
-    _propagate_query_attribution(expanded)
-    dag = GeneralizationDag(expanded)
-    return GeneralizationResult(candidates=expanded, dag=dag,
-                                basic_count=basic_count,
-                                generalized_count=len(expanded) - basic_count,
-                                rounds_used=rounds_used)
+    # A candidate claims what every candidate it contains claims -- read
+    # live, in insertion order, as the reference's sweep does.
+    containment, containment_tests = containment_relation(entries.values())
+    for general in entries.values():
+        for specific in containment[general.key].values():
+            general.absorb(specific.queries, specific.predicates, specific.order)
 
-
-def _propagate_query_attribution(candidates: CandidateSet) -> None:
-    """Make every candidate claim the queries of all candidates it contains.
-
-    After generalization, a general candidate covers every query whose
-    basic candidate pattern it contains; recording that explicitly keeps
-    the redundancy heuristics and the reports simple.
-    """
-    all_candidates = candidates.candidates
-    for general in all_candidates:
-        for specific in all_candidates:
-            if general is specific:
-                continue
-            if general.value_type is not specific.value_type:
-                continue
-            if general.covers_candidate(specific):
-                general.benefiting_queries.update(specific.benefiting_queries)
-                for predicate in specific.covered_predicates:
-                    if predicate not in general.covered_predicates:
-                        general.covered_predicates.append(predicate)
+    predicates = list(predicate_ids)
+    expanded = CandidateSet(
+        CandidateIndex(pattern=entry.pattern, value_type=entry.value_type,
+                       source=entry.source,
+                       benefiting_queries={query_id for query_id, i in query_ids.items()
+                                           if entry.queries >> i & 1},
+                       covered_predicates=[predicates[i] for i in entry.order])
+        for entry in entries.values() if entry.key not in (excluded_keys or ()))
+    return GeneralizationResult(
+        candidates=expanded, dag=GeneralizationDag(expanded, containment),
+        basic_count=len(basic), generalized_count=len(entries) - len(basic),
+        rounds_used=rounds_used, pairs_examined=pairs_examined,
+        patterns_produced=patterns_produced, containment_tests=containment_tests)

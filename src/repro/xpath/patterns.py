@@ -148,6 +148,15 @@ class PathPattern:
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.to_text()
 
+    def __hash__(self) -> int:
+        """The dataclass field hash, memoized like :meth:`to_text`: LRU,
+        match-cache and relevance-map probes hash their patterns."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.steps,))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------

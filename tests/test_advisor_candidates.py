@@ -8,6 +8,7 @@ from repro.advisor.candidates import (
     CandidateIndex,
     CandidateSet,
     enumerate_basic_candidates,
+    extend_unique,
 )
 from repro.xpath.ast import BinaryOp
 from repro.xpath.patterns import PathPattern
@@ -18,6 +19,11 @@ from repro.xquery.normalizer import normalize_workload
 def _candidate(pattern, value_type=ValueType.VARCHAR, source="basic", queries=()):
     return CandidateIndex(pattern=PathPattern.parse(pattern), value_type=value_type,
                           source=source, benefiting_queries=set(queries))
+
+
+def _predicate(pattern, value):
+    return PathPredicate(pattern=PathPattern.parse(pattern), op=BinaryOp.GT,
+                         value=value, value_type=ValueType.DOUBLE)
 
 
 class TestCandidateIndex:
@@ -80,6 +86,43 @@ class TestCandidateSet:
         copy = original.copy()
         copy.get(("/a/b", "VARCHAR")).benefiting_queries.add("q2")
         assert original.get(("/a/b", "VARCHAR")).benefiting_queries == {"q1"}
+
+    def test_copy_clones_entries_without_replaying_add(self):
+        first, second = _predicate("/a/b", 1.0), _predicate("/a/b", 2.0)
+        original = CandidateSet([
+            _candidate("/a/*", source="generalized"),
+            CandidateIndex(PathPattern.parse("/a/b"), ValueType.DOUBLE,
+                           benefiting_queries={"q1"},
+                           covered_predicates=[second, first, second]),
+        ])
+        copy = original.copy()
+        assert [c.key for c in copy] == [c.key for c in original]
+        assert [c.source for c in copy] == ["generalized", "basic"]
+        cloned = copy.get(("/a/b", "DOUBLE"))
+        assert cloned is not original.get(("/a/b", "DOUBLE"))
+        # A clone, not a merge: the list arrives as it is, and is its own.
+        assert cloned.covered_predicates == [second, first, second]
+        cloned.covered_predicates.append(_predicate("/a/b", 3.0))
+        assert len(original.get(("/a/b", "DOUBLE")).covered_predicates) == 3
+
+    def test_add_collapses_equal_predicates_and_keeps_order(self):
+        candidates = CandidateSet()
+        candidates.add(CandidateIndex(
+            PathPattern.parse("/a/b"), ValueType.DOUBLE, benefiting_queries={"q1"},
+            covered_predicates=[_predicate("/a/b", 2.0), _predicate("/a/b", 1.0)]))
+        # Equal predicates from another query are other objects.
+        candidates.add(CandidateIndex(
+            PathPattern.parse("/a/b"), ValueType.DOUBLE, benefiting_queries={"q2"},
+            covered_predicates=[_predicate("/a/b", 3.0), _predicate("/a/b", 1.0),
+                                _predicate("/a/b", 3.0), _predicate("/a/b", 0.5)]))
+        merged = candidates.get(("/a/b", "DOUBLE"))
+        assert [p.value for p in merged.covered_predicates] == [2.0, 1.0, 3.0, 0.5]
+        assert merged.benefiting_queries == {"q1", "q2"}
+
+    def test_extend_unique(self):
+        target = ["b", "a"]
+        extend_unique(target, iter(["a", "c", "b", "c", "d"]))
+        assert target == ["b", "a", "c", "d"]
 
     def test_describe_lists_candidates(self):
         candidates = CandidateSet([_candidate("/a/b")])

@@ -28,6 +28,7 @@ from _support import (
     OPTIMIZER_COUNTERS,
     assert_counter_parity,
 )
+from repro.advisor.advisor import XmlIndexAdvisor
 from repro.advisor.benefit import ConfigurationEvaluator
 from repro.executor.executor import QueryExecutor
 from repro.index.definition import IndexConfiguration, IndexDefinition
@@ -484,3 +485,36 @@ class TestCounterMigration:
         assert hub.value("executor.queries.executed") == 1
         assert hub.value("optimizer.plan.calls") == \
             executor.optimizer.plan_calls
+
+
+class TestGeneralizationCounters:
+    NAMES = ("advisor.generalize.pairs_examined",
+             "advisor.generalize.patterns_produced",
+             "advisor.generalize.containment_tests")
+
+    def _advise(self, database):
+        workload = Workload(name="telemetry-generalize")
+        for region in ("africa", "namerica", "asia"):
+            workload.add(f'for $i in doc("x")/site/regions/{region}/item '
+                         f'where $i/quantity > 90 return $i/name')
+        hub = MetricsRegistry()
+        advisor = XmlIndexAdvisor(database, registry=hub)
+        queries = advisor.normalize(workload)
+        result = advisor.generalize(advisor.enumerate_candidates(queries))
+        return hub, result
+
+    def test_work_counts_land_on_the_registry(self, varied_database):
+        hub, result = self._advise(varied_database)
+        assert result.generalized_count > 0
+        assert [hub.value(name) for name in self.NAMES] == [
+            result.pairs_examined, result.patterns_produced,
+            result.containment_tests]
+        assert all(hub.value(name) > 0 for name in self.NAMES)
+        for name in self.NAMES:
+            assert name.rsplit(".", 1)[1].replace("_", " ") in result.describe()
+
+    def test_counts_repeat_exactly_across_runs(self, varied_database):
+        first, _ = self._advise(varied_database)
+        second, _ = self._advise(varied_database)
+        assert first.to_json() == second.to_json()
+        assert set(self.NAMES) <= set(first.names())

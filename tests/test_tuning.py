@@ -14,7 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.advisor.advisor import XmlIndexAdvisor
+from repro.advisor.candidates import CandidateSet
 from repro.advisor.config import AdvisorParameters
+from repro.advisor.dag import GeneralizationDag
 from repro.executor.executor import QueryExecutor
 from repro.index.definition import IndexDefinition
 from repro.storage.catalog import ConfigurationProvenance
@@ -610,3 +612,41 @@ class TestWiring:
         assert frozenset(d.key for d in from_queries.configuration) == keys
         assert frozenset(d.key for d in from_compressed.configuration) == keys
         assert frozenset(d.key for d in from_generator.configuration) == keys
+
+    def test_quarantined_keys_are_filtered_before_the_one_dag_build(
+            self, online_database, train_queries, monkeypatch):
+        advisor = XmlIndexAdvisor(
+            online_database, AdvisorParameters(disk_budget_bytes=BUDGET))
+        baseline = advisor.recommend(list(train_queries))
+        quarantined = frozenset(
+            sorted(d.key for d in baseline.configuration)[:2])
+        assert quarantined
+
+        builds = []
+        build = GeneralizationDag.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeneralizationDag, "__init__", counting)
+        recommendation = advisor.recommend(list(train_queries),
+                                           excluded_keys=quarantined)
+        monkeypatch.undo()
+        assert len(builds) == 1
+        assert builds[0] is recommendation.dag
+
+        # Unchanged against the two-build flow: generalize everything,
+        # filter, rebuild the DAG over the survivors, search.
+        queries = advisor.normalize(list(train_queries))
+        full = advisor.generalize(advisor.enumerate_candidates(queries))
+        survivors = CandidateSet(c for c in full.candidates
+                                 if c.key not in quarantined)
+        expected = advisor.search(survivors, GeneralizationDag(survivors),
+                                  advisor.build_evaluator(queries))
+        assert [c.key for c in recommendation.candidates] == \
+            [c.key for c in survivors]
+        assert [d.key for d in recommendation.configuration] == \
+            [d.key for d in expected.configuration]
+        assert recommendation.total_benefit == expected.benefit.total_benefit
+        assert not {d.key for d in recommendation.configuration} & quarantined

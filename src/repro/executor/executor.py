@@ -842,12 +842,12 @@ class QueryExecutor:
                 # Collections iterate in ascending doc-id order, so the
                 # sorted key walk reproduces the legacy extraction
                 # stream exactly.
-                for doc_key in sorted(doc_keys):
-                    if values is not None:
-                        for pattern in query.extraction_paths:
-                            values.extend(columnar.values_for_pattern(
-                                pattern, doc_key, ordered=True))
-                    if extracted is not None:
+                ordered_keys = sorted(doc_keys)
+                if values is not None:
+                    values.extend(columnar.values_for_documents(
+                        query.extraction_paths, ordered_keys))
+                if extracted is not None:
+                    for doc_key in ordered_keys:
                         document = self._doc_lookup.get(
                             (collection.name, doc_key))
                         if document is not None:
@@ -976,6 +976,18 @@ class QueryExecutor:
         # bisect sets the scan path uses) and each candidate becomes a
         # set-membership probe instead of a per-document node walk.
         vectorized_keys: Dict[str, Set[int]] = {}
+        # Values are extracted with one store call per run of matched
+        # documents of one store (the visiting order above makes that a
+        # collection's matches, keys ascending), flushed in stream order.
+        run_store: Optional[ColumnarStore] = None
+        run_keys: List[int] = []
+
+        def flush_run() -> None:
+            if run_keys:
+                values.extend(run_store.values_for_documents(
+                    query.extraction_paths, run_keys))
+                run_keys.clear()
+
         residual_span: Optional[Span] = None
         residual_start = 0.0
         if trace is not None:
@@ -1006,12 +1018,15 @@ class QueryExecutor:
                         document, query, summary, columnar))
                 if values is not None:
                     if columnar is not None and self.use_vectorized_predicates:
-                        for pattern in query.extraction_paths:
-                            values.extend(columnar.values_for_pattern(
-                                pattern, key[1], ordered=True))
+                        if columnar is not run_store:
+                            flush_run()
+                            run_store = columnar
+                        run_keys.append(key[1])
                     else:
+                        flush_run()
                         values.extend(self._extract_values(
                             document, query, summary, columnar))
+        flush_run()
         if residual_span is not None:
             residual_span.elapsed_seconds = wall_clock() - residual_start
             residual_span.annotate(documents_examined=examined,

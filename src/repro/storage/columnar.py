@@ -43,7 +43,8 @@ pre-position runs, and :meth:`ColumnarStore.matching_documents` maps
 those straight to doc-key sets -- the executor intersects one set per
 predicate instead of materializing ``XmlNode`` lists per document.
 Value extraction for value-only consumers reads the flat values column
-in document order (:meth:`ColumnarStore.values_for_pattern`).
+in document order (:meth:`ColumnarStore.values_for_documents`: one
+call per collection, a forward cursor per postings array).
 
 Maintenance mirrors :class:`~repro.storage.path_summary.PathSummary`:
 the store is immutable once built and is replaced through
@@ -109,7 +110,6 @@ NUMERIC_PROJECTION_ENTRY_BYTES = array("d").itemsize
 
 #: Shared empty results; callers must treat lookup results as read-only.
 _NO_NODES: List[XmlNode] = []
-_NO_VALUES: List[str] = []
 _NO_POSITIONS = array("q")
 
 #: The synopsis-shared value normalization (one definition in
@@ -778,41 +778,46 @@ class ColumnarStore:
                 index = bisect_left(arr, bounds[doc][1], index + 1)
         return docs
 
-    def values_for_pattern(self, pattern: PathPattern,
-                           doc_id: Optional[int] = None,
-                           ordered: bool = False) -> List[str]:
-        """The values-column entries of the nodes ``pattern`` matches --
-        the same nodes :meth:`nodes_for_pattern` returns, in the same
-        order, but served straight from the flat column (zero node-object
-        hops).  Value-only consumers (``ExecutionResult
-        .extracted_values``) read this; each entry is byte-identical to
-        ``normalized_node_value()`` of the corresponding node by
-        construction.
+    def values_for_documents(self, patterns: Sequence[PathPattern],
+                             doc_keys: Iterable[int]) -> List[str]:
+        """The values-column entries of the nodes ``patterns`` match in
+        the documents ``doc_keys`` (ascending; keys outside the store
+        select nothing): document by document, pattern by pattern, in
+        document order within each -- the executor's extraction stream,
+        served straight from the flat column (zero node-object hops).
+        Each entry is byte-identical to ``normalized_node_value()`` of
+        the corresponding node by construction.
+
+        Patterns resolve to their postings arrays once per call, and
+        because the keys ascend each array is walked by a forward
+        cursor: every bisect starts where the previous document ended.
         """
-        ids = self._paths_for(pattern, strict=False)
-        if not ids:
-            return _NO_VALUES
-        bounds = self._doc_slice(doc_id)
-        if bounds is None:
-            return _NO_VALUES
-        lo, hi = bounds
-        if lo == hi:
-            return _NO_VALUES
-        values = self.values
-        if len(ids) == 1:
-            return [values[p] for p in self._positions_in(ids[0], lo, hi)]
-        if ordered:
-            positions: List[int] = []
-            for pid in ids:
-                positions.extend(self._positions_in(pid, lo, hi))
-            positions.sort()
-            return [values[p] for p in positions]
-        merged: List[str] = []
-        for pid in ids:
-            segment = self._positions_in(pid, lo, hi)
-            if segment:
-                merged.extend(values[p] for p in segment)
-        return merged
+        plans = []
+        for pattern in patterns:
+            arrays = [self._postings[pid]
+                      for pid in self._paths_for(pattern, strict=False)]
+            if arrays:
+                plans.append((arrays, [0] * len(arrays)))
+        out: List[str] = []
+        if not plans:
+            return out
+        value_at = self.values.__getitem__
+        bounds = self._doc_bounds
+        count = len(bounds)
+        for doc_key in doc_keys:
+            if not 0 <= doc_key < count:
+                continue
+            lo, hi = bounds[doc_key]
+            for arrays, cursors in plans:
+                positions: List[int] = []
+                for slot, arr in enumerate(arrays):
+                    start = bisect_left(arr, lo, cursors[slot])
+                    end = cursors[slot] = bisect_left(arr, hi, start)
+                    positions.extend(arr[start:end])
+                if len(arrays) > 1:
+                    positions.sort()
+                out.extend(map(value_at, positions))
+        return out
 
     # ------------------------------------------------------------------
     # The axis engine

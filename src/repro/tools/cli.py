@@ -52,6 +52,8 @@ from repro.tools.report import (
     recommendation_report,
 )
 from repro.workloads.loader import build_scenario, list_scenarios
+from repro.xpath.errors import XPathParseError
+from repro.xquery.errors import QueryParseError
 from repro.xquery.model import Workload
 from repro.xquery.normalizer import normalize_statement, normalize_workload
 from repro.xquery.workload_io import load_workload_file
@@ -425,7 +427,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (QueryParseError, XPathParseError) as error:
+        # A bad --query / --workload-file statement is the user's input,
+        # not a crash: one line (it carries the offset), exit status 2.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -240,12 +240,22 @@ class WorkloadMonitor:
         the newcomer lets it compete; the lowest-weight *resident* pays
         for the slot instead.
         """
-        victim = min(
-            (e for e in self._entries.values() if e.key != protect),
-            key=lambda e: (e.weight_at(self.step, self.decay), e.key))
-        self._shed_weight += victim.weight_at(self.step, self.decay)
+        step, decay = self.step, self.decay
+        victim: Optional[str] = None
+        lowest = 0.0
+        for key, entry in self._entries.items():
+            if key == protect:
+                continue
+            # Inlined ``entry.weight_at(step, decay)``.
+            weight = entry.weight
+            if step > entry.last_step and decay < 1.0:
+                weight = weight * decay ** (step - entry.last_step)
+            if (victim is None or weight < lowest
+                    or (weight == lowest and key < victim)):
+                victim, lowest = key, weight
+        self._shed_weight += lowest
         self._m_shed_weight.set(self._shed_weight)
-        del self._entries[victim.key]
+        del self._entries[victim]
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -9,6 +9,7 @@ The entry point is :func:`parse_xpath`, which returns either a
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -53,107 +54,50 @@ class _Token:
     position: int
 
 
-_OPERATORS = ("!=", "<=", ">=", "=", "<", ">")
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.:")
+#: One alternative per token kind, named after its ``_TokenKind`` member;
+#: whitespace is the unnamed alternative and ``BAD`` is any character no
+#: token starts with.  ``..`` is tried before ``.``, and a ``.`` that a
+#: digit follows starts a NUMBER (which, as ever, is a run of digits and
+#: dots: ``1.2.3`` is one token and fails in the parser).
+_TOKEN_RE = re.compile(r"""
+    \s+
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_.:-]*)
+  | (?P<DOUBLE_SLASH>//) | (?P<SLASH>/) | (?P<AT>@) | (?P<STAR>\*)
+  | (?P<LBRACKET>\[) | (?P<RBRACKET>\]) | (?P<LPAREN>\() | (?P<RPAREN>\))
+  | (?P<COMMA>,)
+  | (?P<VARIABLE>\$[A-Za-z0-9_.:-]*)
+  | (?P<DOTDOT>\.\.) | (?P<DOT>\.(?!\d))
+  | (?P<OPERATOR>!=|<=|>=|=|<|>)
+  | (?P<STRING>'[^']*'|"[^"]*")
+  | (?P<NUMBER>[\d.]+)
+  | (?P<BAD>.)
+""", re.VERBOSE)
+_KINDS = dict(_TokenKind.__members__)
 
 
 def _tokenize(expression: str) -> List[_Token]:
     tokens: List[_Token] = []
-    i = 0
-    length = len(expression)
-    while i < length:
-        ch = expression[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN_RE.finditer(expression):
+        group = match.lastgroup
+        if group is None:
             continue
-        if expression.startswith("//", i):
-            tokens.append(_Token(_TokenKind.DOUBLE_SLASH, "//", i))
-            i += 2
-            continue
-        if ch == "/":
-            tokens.append(_Token(_TokenKind.SLASH, "/", i))
-            i += 1
-            continue
-        if ch == "@":
-            tokens.append(_Token(_TokenKind.AT, "@", i))
-            i += 1
-            continue
-        if ch == "*":
-            tokens.append(_Token(_TokenKind.STAR, "*", i))
-            i += 1
-            continue
-        if ch == "[":
-            tokens.append(_Token(_TokenKind.LBRACKET, "[", i))
-            i += 1
-            continue
-        if ch == "]":
-            tokens.append(_Token(_TokenKind.RBRACKET, "]", i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token(_TokenKind.LPAREN, "(", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token(_TokenKind.RPAREN, ")", i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(_Token(_TokenKind.COMMA, ",", i))
-            i += 1
-            continue
-        if ch == "$":
-            start = i
-            i += 1
-            while i < length and expression[i] in _NAME_CHARS:
-                i += 1
-            if i == start + 1:
+        kind = _KINDS.get(group)
+        text = match.group()
+        if kind is _TokenKind.STRING:
+            text = text[1:-1]
+        elif kind is _TokenKind.VARIABLE:
+            text = text[1:]
+            if not text:
                 raise XPathParseError("expected variable name after '$'",
-                                      expression, start)
-            tokens.append(_Token(_TokenKind.VARIABLE, expression[start + 1:i], start))
-            continue
-        if expression.startswith("..", i):
-            tokens.append(_Token(_TokenKind.DOTDOT, "..", i))
-            i += 2
-            continue
-        if ch == "." and (i + 1 >= length or not expression[i + 1].isdigit()):
-            tokens.append(_Token(_TokenKind.DOT, ".", i))
-            i += 1
-            continue
-        matched_op = None
-        for op in _OPERATORS:
-            if expression.startswith(op, i):
-                matched_op = op
-                break
-        if matched_op:
-            tokens.append(_Token(_TokenKind.OPERATOR, matched_op, i))
-            i += len(matched_op)
-            continue
-        if ch in ("'", '"'):
-            end = expression.find(ch, i + 1)
-            if end == -1:
-                raise XPathParseError("unterminated string literal", expression, i)
-            tokens.append(_Token(_TokenKind.STRING, expression[i + 1:end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < length and expression[i + 1].isdigit()):
-            start = i
-            i += 1
-            while i < length and (expression[i].isdigit() or expression[i] == "."):
-                i += 1
-            tokens.append(_Token(_TokenKind.NUMBER, expression[start:i], i))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < length and expression[i] in _NAME_CHARS:
-                i += 1
-            name = expression[start:i]
-            # ``text()`` is lexed as a NAME followed by parens and folded
-            # back together by the parser.
-            tokens.append(_Token(_TokenKind.NAME, name, start))
-            continue
-        raise XPathParseError(f"unexpected character {ch!r}", expression, i)
-    tokens.append(_Token(_TokenKind.END, "", length))
+                                      expression, match.start())
+        elif kind is None:
+            if text in ("'", '"'):
+                raise XPathParseError("unterminated string literal",
+                                      expression, match.start())
+            raise XPathParseError(f"unexpected character {text!r}",
+                                  expression, match.start())
+        tokens.append(_Token(kind, text, match.start()))
+    tokens.append(_Token(_TokenKind.END, "", len(expression)))
     return tokens
 
 
@@ -165,8 +109,8 @@ class _Parser:
 
     # -- token helpers -------------------------------------------------
     def _peek(self, offset: int = 0) -> _Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        # Only a NAME is ever looked past, and END follows every token.
+        return self._tokens[self._index + offset]
 
     def _next(self) -> _Token:
         token = self._tokens[self._index]
@@ -225,7 +169,11 @@ class _Parser:
             return Literal(token.text)
         if token.kind is _TokenKind.NUMBER:
             self._next()
-            return Literal(float(token.text))
+            try:
+                return Literal(float(token.text))
+            except ValueError:
+                raise XPathParseError(f"malformed number {token.text!r}",
+                                      self._expression, token.position) from None
         if token.kind is _TokenKind.LPAREN:
             self._next()
             inner = self._parse_or_expr()

@@ -34,6 +34,7 @@ from repro.xpath.ast import (
     PathExpr,
     Step,
 )
+from repro.xpath.errors import XPathParseError
 from repro.xpath.parser import parse_xpath
 from repro.xpath.patterns import PathPattern, PatternStep
 from repro.xquery.errors import QueryParseError
@@ -373,7 +374,11 @@ def _normalize_sqlxml(statement: WorkloadStatement, query_id: str) -> Normalized
 def _normalize_xpath(statement: WorkloadStatement, query_id: str) -> NormalizedQuery:
     collector = _PredicateCollector(statement.text)
     stripped = strip_doc_function(statement.text)
-    parsed = parse_xpath(stripped)
+    try:
+        parsed = parse_xpath(stripped)
+    except XPathParseError as exc:
+        raise QueryParseError(
+            f"cannot parse XPath statement ({exc})", statement.text) from exc
     root = LocationPath(steps=[], absolute=True)
     if isinstance(parsed, LocationPath):
         collector.collect_path(parsed, {}, as_predicate=False)

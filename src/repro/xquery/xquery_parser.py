@@ -31,8 +31,15 @@ from repro.xpath.ast import LocationPath, PathExpr
 from repro.xpath.parser import parse_xpath
 from repro.xquery.errors import QueryParseError
 
-#: Clause keywords recognized at nesting depth zero.
-_CLAUSE_KEYWORDS = ("for", "let", "where", "order by", "stable order by", "return")
+#: Everything the clause splitter must see, in one scan: string literals
+#: (skipped; an unterminated one runs to the end), brackets (nesting
+#: depth) and the clause keywords, ASCII-case-insensitive and word-bounded
+#: (``$`` also counts as a word character before a keyword: ``$for``).
+_CLAUSE_SCAN_RE = re.compile(r"""
+    '[^']*(?:'|\Z) | "[^"]*(?:"|\Z)
+  | (?P<open>[(\[{]) | (?P<close>[)\]}])
+  | (?P<keyword>(?<![\w$])(?ai:for|let|where|order\ by|stable\ order\ by|return)(?!\w))
+""", re.VERBOSE)
 
 _DOC_PREFIX_RE = re.compile(
     r"""^\s*(?:fn:)?(?:doc|collection)\(\s*['"][^'"]*['"]\s*\)|"""
@@ -88,51 +95,18 @@ def _split_clauses(text: str) -> List[Tuple[str, str]]:
     brackets, braces, and string literals), so paths with predicates and
     element constructors in the return clause do not confuse it.
     """
-    lowered = text.lower()
-    positions: List[Tuple[int, str]] = []
+    positions: List[Tuple[int, int, str]] = []
     depth = 0
-    in_string: Optional[str] = None
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            if ch == in_string:
-                in_string = None
-            i += 1
-            continue
-        if ch in ("'", '"'):
-            in_string = ch
-            i += 1
-            continue
-        if ch in "([{":
+    for match in _CLAUSE_SCAN_RE.finditer(text):
+        group = match.lastgroup
+        if group == "open":
             depth += 1
-            i += 1
-            continue
-        if ch in ")]}":
+        elif group == "close":
             depth -= 1
-            i += 1
-            continue
-        if depth == 0:
-            for keyword in _CLAUSE_KEYWORDS:
-                if lowered.startswith(keyword, i):
-                    before_ok = i == 0 or not (text[i - 1].isalnum() or text[i - 1] in "_$")
-                    after_index = i + len(keyword)
-                    after_ok = (after_index >= len(text)
-                                or not (text[after_index].isalnum() or text[after_index] == "_"))
-                    if before_ok and after_ok:
-                        positions.append((i, keyword))
-                        i = after_index
-                        break
-            else:
-                i += 1
-                continue
-            continue
-        i += 1
-    if not positions:
-        return []
+        elif group == "keyword" and depth == 0:
+            positions.append((match.start(), match.end(), match.group().lower()))
     clauses: List[Tuple[str, str]] = []
-    for index, (pos, keyword) in enumerate(positions):
-        start = pos + len(keyword)
+    for index, (_, start, keyword) in enumerate(positions):
         end = positions[index + 1][0] if index + 1 < len(positions) else len(text)
         clauses.append((keyword, text[start:end].strip()))
     return clauses

@@ -50,6 +50,16 @@ class TestScanExecution:
         with pytest.raises(ValueError):
             executor.execute("delete node /site/people/person")
 
+    @pytest.mark.parametrize("text", [
+        "/site/people/person[@id = 1.2.3]",
+        'for $i in doc("x")/site/regions/africa/item '
+        'where $i/quantity > 1.2.3 return $i/name'])
+    def test_malformed_number_is_a_query_parse_error(self, executor, text):
+        from repro.xquery.errors import QueryParseError
+
+        with pytest.raises(QueryParseError, match="malformed number '1.2.3'"):
+            executor.execute(text)
+
 
 class TestIndexExecution:
     def test_index_plan_used_and_results_identical_to_scan(self, executor):

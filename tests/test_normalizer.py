@@ -211,3 +211,27 @@ class TestWorkloadNormalization:
         assert QueryLanguage.XQUERY in languages
         assert QueryLanguage.SQLXML in languages
         assert any(q.is_update for q in queries)
+
+
+class TestParseErrorsAreTyped:
+    """``normalize_statement`` promises ``QueryParseError`` whatever the
+    language; the inner XPath error (with its offset) is the cause."""
+
+    @pytest.mark.parametrize("text, language", [
+        ("/site/people/person[", QueryLanguage.XPATH),
+        ("/a/b[c = 1.2.3]", QueryLanguage.XPATH),
+        ('for $p in doc("x")/site/people/person where $p/age > return $p',
+         QueryLanguage.XQUERY),
+        ('for $p in doc("x")/site/people/person where $p/age > 1.2.3 return $p',
+         QueryLanguage.XQUERY),
+        ("SELECT 1 FROM t WHERE XMLEXISTS('$d/a[b = ' PASSING doc AS \"d\")",
+         QueryLanguage.SQLXML),
+    ])
+    def test_bad_xpath_in_every_language(self, text, language):
+        from repro.xpath.errors import XPathParseError
+
+        assert detect_language(text) is language
+        with pytest.raises(QueryParseError, match=r"at offset \d+") as caught:
+            normalize_statement(text)
+        assert isinstance(caught.value.__cause__, XPathParseError)
+        assert caught.value.statement == text

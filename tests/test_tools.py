@@ -183,6 +183,25 @@ class TestTelemetryCli:
         assert "-- cli-q1 --" in out
         assert "query" not in out.splitlines()  # no trace without --trace
 
+    @pytest.mark.parametrize("command", ["explain", "recommend", "tune", "enumerate"])
+    def test_bad_statement_is_one_error_line_and_exit_2(self, command, capsys,
+                                                        tmp_path):
+        if command in ("explain", "enumerate"):
+            source = ["--query", "/site/people/person["]
+            offset = "at offset 20"
+        else:
+            workload = tmp_path / "bad.txt"
+            workload.write_text('for $p in doc("x")/site/people/person '
+                                'where $p/age > 1.2.3 return $p/name;\n')
+            source = ["--workload-file", str(workload)]
+            offset = "at offset 9"
+        assert main([command, "--scenario", "xmark-small", *source]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert offset in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     def test_explain_trace_renders_span_tree(self, capsys):
         code = main(["explain", "--scenario", "xmark-small", "--trace",
                      "--query",

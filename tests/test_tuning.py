@@ -175,6 +175,44 @@ class TestWorkloadMonitor:
         assert [e.key for e in snapshot.entries] == \
             [template_key(a), template_key(b)]
 
+    @pytest.mark.parametrize("decay", [1.0, 0.5, 0.9])
+    def test_eviction_victim_matches_the_min_with_callbacks(self, decay):
+        """The inline eviction pass picks the victim the pre-PR-14
+        ``min(..., key=lambda ...)`` picked (same decayed weight, key
+        tie-break) and sheds the same weight, bit for bit."""
+        import random
+
+        class ReferenceMonitor(WorkloadMonitor):
+            def _evict_one(self, protect=None):
+                victim = min(
+                    (e for e in self._entries.values() if e.key != protect),
+                    key=lambda e: (e.weight_at(self.step, self.decay), e.key))
+                self._shed_weight += victim.weight_at(self.step, self.decay)
+                self._m_shed_weight.set(self._shed_weight)
+                del self._entries[victim.key]
+
+        queries = [_adhoc(region, "quantity", literal, "q")
+                   for region in ("africa", "asia", "europe")
+                   for literal in range(8)]
+        rng = random.Random(int(decay * 10))
+        ours = WorkloadMonitor(capacity=6, decay=decay)
+        reference = ReferenceMonitor(capacity=6, decay=decay)
+        evictions = 0
+        for _ in range(600):
+            if rng.random() < 0.2:
+                steps = rng.randint(0, 3)
+                ours.tick(steps)
+                reference.tick(steps)
+            # Mostly single arrivals of many templates: weights tie.
+            query = rng.choice(queries)
+            evictions += (len(ours) == ours.capacity
+                          and template_key(query) not in ours._entries)
+            ours.record(query)
+            reference.record(query)
+            assert list(ours._entries.items()) == list(reference._entries.items())
+            assert ours.shed_weight == reference.shed_weight
+        assert evictions > 100
+
     def test_executor_capture_hook_records_cost_proxy(self, online_database,
                                                       train_queries):
         monitor = WorkloadMonitor()

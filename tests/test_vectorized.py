@@ -214,6 +214,93 @@ class TestNoMaterialization:
         hatch.drop_all_indexes()
 
 
+def _reference_values_for_pattern(store, pattern, doc_id):
+    """``ColumnarStore.values_for_pattern(pattern, doc_id, ordered=True)``
+    as it stood before PR 14 (one call per document per pattern, bisects
+    from zero) -- the oracle for :meth:`values_for_documents`."""
+    ids = store._paths_for(pattern, strict=False)
+    if not ids:
+        return []
+    bounds = store._doc_slice(doc_id)
+    if bounds is None:
+        return []
+    lo, hi = bounds
+    if lo == hi:
+        return []
+    values = store.values
+    if len(ids) == 1:
+        return [values[p] for p in store._positions_in(ids[0], lo, hi)]
+    positions = []
+    for pid in ids:
+        positions.extend(store._positions_in(pid, lo, hi))
+    positions.sort()
+    return [values[p] for p in positions]
+
+
+class TestBatchedExtractionMatchesReference:
+    """One ``values_for_documents`` call equals the concatenation of the
+    per-document, per-pattern calls it replaced."""
+
+    PATTERNS = ["//a", "/site/a", "/site/b/a", "//b//a", "/site/*", "//@id",
+                "/site/b/@id", "//missing", "/site//*"]
+
+    @staticmethod
+    def _random_document(rng):
+        from repro.xmldb.nodes import DocumentNode
+
+        if rng.random() < 0.15:
+            return DocumentNode()  # element-less: an empty slab
+        doc, site = build_document("site")
+
+        def fill(parent, depth):
+            for _ in range(rng.randint(0, 3)):
+                if depth < 3 and rng.random() < 0.4:
+                    fill(parent.add_element(
+                        "b", attributes={"id": rng.choice(VALUE_POOL)}), depth + 1)
+                else:
+                    parent.add_element("a", rng.choice(VALUE_POOL))
+
+        fill(site, 0)
+        return doc
+
+    def _check(self, store, rng):
+        from repro.xpath.patterns import PathPattern
+
+        count = store.document_count
+        for _ in range(25):
+            patterns = [PathPattern.parse(text) for text in rng.sample(
+                self.PATTERNS, rng.randint(0, 3))]
+            # Ascending keys, some of them outside the store.
+            keys = sorted(rng.sample(range(-2, count + 3),
+                                     rng.randint(0, count + 5)))
+            expected = [value for key in keys for pattern in patterns
+                        for value in _reference_values_for_pattern(
+                            store, pattern, key)]
+            assert store.values_for_documents(patterns, keys) == expected
+            assert store.values_for_documents(patterns, iter(keys)) == expected
+
+    def test_randomized_stores(self):
+        from repro.storage.columnar import build_columnar_store
+
+        for seed in range(12):
+            rng = random.Random(seed)
+            store = build_columnar_store(
+                self._random_document(rng) for _ in range(rng.randint(0, 12)))
+            self._check(store, rng)
+
+    def test_after_interleaved_deltas(self):
+        rng = random.Random(41)
+        collection = XmlDatabase("vec-batch").create_collection("site")
+        for _ in range(6):
+            collection.add_document(self._random_document(rng))
+        for _ in range(20):
+            if len(collection) > 2 and rng.random() < 0.45:
+                collection.remove_document(rng.randrange(len(collection)))
+            else:
+                collection.add_document(self._random_document(rng))
+            self._check(collection.columnar_store, rng)
+
+
 class TestColumnsAndSynopsisAgree:
     """Satellite: the values column and the statistics synopsis are fed
     by one shared normalizer (`normalized_node_value`), so their

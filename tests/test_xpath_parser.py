@@ -188,3 +188,31 @@ class TestErrors:
     def test_parse_location_path_rejects_comparisons(self):
         with pytest.raises(XPathParseError):
             parse_location_path("/a/b = 1")
+
+    # The two deliberate deviations from the character-loop oracle
+    # (tests/reference/frontend_reference.py); everything else is equal
+    # (tests/test_frontend_differential.py).
+    @pytest.mark.parametrize("text, offset", [
+        ("/a/b[c = 1.2.3]", 9), ("/a/b[c > 1..2]", 9), ("$i/price = 3.4.", 11)])
+    def test_malformed_number_is_a_parse_error(self, text, offset):
+        with pytest.raises(XPathParseError, match="malformed number") as caught:
+            parse_xpath(text)
+        assert caught.value.position == offset
+        assert f"at offset {offset}" in str(caught.value)
+        assert parse_xpath("$i/price = 3.").right.value == 3.0
+
+    def test_number_token_records_its_start_offset(self):
+        from repro.xpath.parser import _tokenize
+
+        assert [(token.text, token.position) for token in _tokenize("/a[b = 12.5]")] == [
+            ("/", 0), ("a", 1), ("[", 2), ("b", 3), ("=", 5), ("12.5", 7),
+            ("]", 11), ("", 12)]
+        with pytest.raises(XPathParseError) as caught:
+            parse_xpath("/a/b 42")
+        assert caught.value.position == 5
+
+    def test_non_ascii_letter_is_an_unexpected_character(self):
+        # The character loop never returned on this input.
+        with pytest.raises(XPathParseError, match="unexpected character"):
+            parse_xpath("/a/\u00e9")
+

@@ -49,9 +49,8 @@ class Recommendation:
     #: Wall-clock seconds spent in each phase.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Footprint of the database's columnar pre/post encoding at
-    #: recommendation time (statistics-derived, identical in both
-    #: ``use_columnar`` modes), so size reports show the base storage
-    #: the recommended indexes sit on top of.
+    #: recommendation time (statistics-derived), so size reports show
+    #: the base storage the recommended indexes sit on top of.
     base_columnar_bytes: int = 0
 
     # ------------------------------------------------------------------
@@ -122,8 +121,6 @@ class XmlIndexAdvisor:
         self.optimizer = Optimizer(
             database, self.parameters.cost_parameters,
             enable_plan_cache=self.parameters.enable_plan_cache,
-            enable_fine_grained_invalidation=(
-                self.parameters.use_incremental_maintenance),
             use_collection_costing=self.parameters.use_collection_costing,
             registry=self.metrics)
 

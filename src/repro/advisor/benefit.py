@@ -40,8 +40,7 @@ hatch, which restores the legacy full re-evaluation):
   keys)``, shared with the legacy path.
 
 Invalidation contract: every public entry point revalidates against the
-database.  With ``AdvisorParameters.use_incremental_maintenance`` (the
-default) the evaluator polls a
+database.  The evaluator polls a
 :class:`~repro.storage.maintenance.DataChangeTracker` and invalidates
 *fine-grained*: the pattern-relevance map always survives (it depends
 only on workload and index patterns, never on data); per-query memo
@@ -58,9 +57,6 @@ model a change to the whole-database aggregates instead stales *all*
 per-query costs and forces the full re-cost (the exactness guard) --
 the selective path then pays off only when the signature moves but the
 synopsis does not (RUNSTATS, empty-collection DDL, net-zero batches).
-Disabling ``use_incremental_maintenance`` restores the legacy
-behaviour: drop everything, including the relevance map, whenever
-``data_signature()`` moves.
 """
 
 from __future__ import annotations
@@ -149,8 +145,6 @@ class ConfigurationEvaluator:
         self.queries = list(queries)
         self.parameters = parameters or AdvisorParameters()
         self.use_incremental = self.parameters.use_incremental
-        self.use_incremental_maintenance = \
-            self.parameters.use_incremental_maintenance
         self.use_collection_costing = self.parameters.use_collection_costing
         #: Per-evaluator metrics; recordings also roll up into
         #: ``registry`` (or the process-global registry).
@@ -159,7 +153,6 @@ class ConfigurationEvaluator:
         self.optimizer = optimizer or Optimizer(
             database, self.parameters.cost_parameters,
             enable_plan_cache=self.parameters.enable_plan_cache,
-            enable_fine_grained_invalidation=self.use_incremental_maintenance,
             use_collection_costing=self.use_collection_costing,
             registry=self.metrics)
         if optimizer is not None:
@@ -172,14 +165,13 @@ class ConfigurationEvaluator:
         #: Inverted relevance map: index key -> ids of affected queries.
         self._relevance: Dict[Tuple[str, str], FrozenSet[str]] = {}
         self._signature = database.data_signature()
-        self._tracker = DataChangeTracker(database) \
-            if self.use_incremental_maintenance else None
+        self._tracker = DataChangeTracker(database)
         #: Monotonic refresh epoch: bumped every time a data change is
         #: absorbed.  Benefits are stamped with the epoch they were
         #: costed in so delta updates know which rows are reusable.
         self._epoch = 0
         #: Query ids staled by the most recent absorbed change; ``None``
-        #: means "all of them" (aggregates moved, or legacy mode).
+        #: means "all of them" (aggregates moved under the global model).
         self._last_stale: Optional[FrozenSet[str]] = None
         #: Full-workload evaluations performed (legacy path + evaluate()).
         self._m_full_evaluations = self.metrics.counter(
@@ -256,80 +248,65 @@ class ConfigurationEvaluator:
     def refresh(self) -> bool:
         """Revalidate against the database; invalidate stale state.
 
-        Returns True when the database changed.  With fine-grained
-        maintenance the invalidation is selective (see the module
-        docstring); otherwise the relevance map, query cache and
-        baseline are dropped and recomputed wholesale.  Called
-        automatically by every public evaluation entry point.
+        Returns True when the database changed.  The invalidation is
+        selective (see the module docstring).  Called automatically by
+        every public evaluation entry point.
         """
-        if self._tracker is not None:
-            change = self._tracker.poll()
-            if change is None:
-                return False
-            self._signature = self.database.data_signature()
-            self._epoch += 1
-            # Size estimates depend only on per-pattern statistics, so
-            # untouched ones survive even aggregate-moving changes.
-            if change.old_statistics is not None \
-                    and change.new_statistics is not None:
-                carry_over_size_estimates(change.old_statistics,
-                                          change.new_statistics,
-                                          change.affects_index_key)
-            # The relevance map is pattern-containment only -- data
-            # changes can never stale it.
-            if change.aggregates_changed and not self.use_collection_costing:
-                # Legacy global cost model: moved aggregates stale every
-                # cached cost (the exactness guard).
-                self._query_cache.clear()
-                self._baseline.clear()
-                self._compute_baseline()
-                self._last_stale = None
-            else:
-                stale_ids, unrouted_ids = self._staled_query_ids(change)
-                evict = [key for key in self._query_cache
-                         if key[0] in stale_ids
-                         or (key[0] in unrouted_ids
-                             and any(change.affects_index_key(index_key)
-                                     for index_key in key[1]))]
-                for key in evict:
-                    del self._query_cache[key]
-                self._m_rows_preserved.inc(len(self._query_cache))
-                # Baselines are no-index costs: only the query's own
-                # patterns (and, with collection costing, its routing
-                # set) matter.
-                for query in self.queries:
-                    if query.query_id in stale_ids:
-                        self._baseline[query.query_id] = self._baseline_cost(query)
-                # The row-reuse gate for delta updates must be wider: a
-                # configured row is also stale when a *relevant index*'s
-                # statistics moved (entry counts / key selectivities are
-                # computed over the index pattern, which may match
-                # changed paths the query's own predicates do not).
-                # Every index that ever contributed to a row is in the
-                # relevance map, so the union over affected known keys
-                # covers all reusable rows exactly.  Routed queries
-                # whose collections the change did not touch are exempt:
-                # their rows price index entries from the routed
-                # synopses only, which the change provably left alone.
-                index_stale = set(stale_ids)
-                for index_key, query_ids in self._relevance.items():
-                    if query_ids and change.affects_index_key(index_key):
-                        index_stale.update(
-                            query_id for query_id in query_ids
-                            if query_id in unrouted_ids)
-                self._last_stale = frozenset(index_stale)
-            return True
-        # Legacy signature-keyed full invalidation.
-        signature = self.database.data_signature()
-        if signature == self._signature:
+        change = self._tracker.poll()
+        if change is None:
             return False
-        self._signature = signature
+        self._signature = self.database.data_signature()
         self._epoch += 1
-        self._last_stale = None
-        self._relevance.clear()
-        self._query_cache.clear()
-        self._baseline.clear()
-        self._compute_baseline()
+        # Size estimates depend only on per-pattern statistics, so
+        # untouched ones survive even aggregate-moving changes.
+        if change.old_statistics is not None \
+                and change.new_statistics is not None:
+            carry_over_size_estimates(change.old_statistics,
+                                      change.new_statistics,
+                                      change.affects_index_key)
+        # The relevance map is pattern-containment only -- data
+        # changes can never stale it.
+        if change.aggregates_changed and not self.use_collection_costing:
+            # Legacy global cost model: moved aggregates stale every
+            # cached cost (the exactness guard).
+            self._query_cache.clear()
+            self._baseline.clear()
+            self._compute_baseline()
+            self._last_stale = None
+        else:
+            stale_ids, unrouted_ids = self._staled_query_ids(change)
+            evict = [key for key in self._query_cache
+                     if key[0] in stale_ids
+                     or (key[0] in unrouted_ids
+                         and any(change.affects_index_key(index_key)
+                                 for index_key in key[1]))]
+            for key in evict:
+                del self._query_cache[key]
+            self._m_rows_preserved.inc(len(self._query_cache))
+            # Baselines are no-index costs: only the query's own
+            # patterns (and, with collection costing, its routing
+            # set) matter.
+            for query in self.queries:
+                if query.query_id in stale_ids:
+                    self._baseline[query.query_id] = self._baseline_cost(query)
+            # The row-reuse gate for delta updates must be wider: a
+            # configured row is also stale when a *relevant index*'s
+            # statistics moved (entry counts / key selectivities are
+            # computed over the index pattern, which may match
+            # changed paths the query's own predicates do not).
+            # Every index that ever contributed to a row is in the
+            # relevance map, so the union over affected known keys
+            # covers all reusable rows exactly.  Routed queries
+            # whose collections the change did not touch are exempt:
+            # their rows price index entries from the routed
+            # synopses only, which the change provably left alone.
+            index_stale = set(stale_ids)
+            for index_key, query_ids in self._relevance.items():
+                if query_ids and change.affects_index_key(index_key):
+                    index_stale.update(
+                        query_id for query_id in query_ids
+                        if query_id in unrouted_ids)
+            self._last_stale = frozenset(index_stale)
         return True
 
     def _staled_query_ids(self, change) -> Tuple[FrozenSet[str], FrozenSet[str]]:

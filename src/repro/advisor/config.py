@@ -65,17 +65,6 @@ class AdvisorParameters:
     #: everywhere -- the escape hatch the equivalence tests and the E3
     #: benchmarks compare against.
     use_incremental: bool = True
-    #: Propagate document change as a fine-grained delta through the
-    #: advisor's derived state: the evaluator's pattern-relevance map
-    #: survives data changes (it is data-independent), per-query
-    #: costings and baselines are re-costed only when the statistics
-    #: they consumed actually moved, memoized index-size estimates are
-    #: carried across statistics rebuilds, and the optimizer's plan
-    #: cache is evicted collection-scoped instead of wholesale.
-    #: Disabling it restores the legacy signature-keyed full
-    #: invalidation -- the escape hatch the maintenance equivalence
-    #: tests compare against.
-    use_incremental_maintenance: bool = True
     #: Memoize what-if optimizer plans by (query, index keys, statistics
     #: signature) on the :class:`~repro.optimizer.optimizer.Optimizer`.
     enable_plan_cache: bool = True

@@ -5,16 +5,18 @@ Execution follows the optimizer's plan choice:
 * **Document scan plans** check the query's predicates and extraction
   paths against every document *of the plan's routing set* -- the
   collections whose path summary/synopsis can match the query's
-  patterns (structural routing; a query rooted in one collection no
-  longer walks the others, and ``use_collection_routing=False``
-  restores the walk-everything behaviour).  The per-document node sets
-  come from the collection's columnar pre/post store
-  (:class:`~repro.storage.columnar.ColumnarStore` -- every linear
-  spine, with exact descendant-or-self ``//`` semantics) or its
-  structural :class:`~repro.storage.path_summary.PathSummary`
-  (dictionary lookups) whenever the path shape allows it; the
-  interpretive XPath evaluator handles the residue (see
-  :mod:`repro.xpath.compiler`).
+  patterns (structural routing; a query rooted in one collection does
+  not walk the others).  Each routed collection is answered
+  set-at-a-time from its columnar pre/post store
+  (:class:`~repro.storage.columnar.ColumnarStore`): one
+  :meth:`~repro.storage.columnar.ColumnarStore.matching_documents` call
+  per predicate -- two bisects over the path's value-sorted posting
+  permutation -- intersected, so a scan costs O(matching postings) and
+  touches no ``XmlNode``.  A collection whose store cannot be published
+  degrades to per-document evaluation over its structural
+  :class:`~repro.storage.path_summary.PathSummary` (dictionary lookups
+  whenever the path shape allows it, the interpretive XPath evaluator
+  for the residue; see :mod:`repro.xpath.compiler`).
 * **Index plans** probe the physical indexes chosen by the optimizer to
   obtain candidate document ids, intersect them across predicates
   (index ANDing), and then evaluate the full query only on the
@@ -33,32 +35,24 @@ changed collection's delta journal
 one merge/retract per changed document -- instead of rebuilding every
 index from scratch, and records the signature each structure now
 reflects in the catalog (per-index staleness tracking).  A journal gap
-(trimmed history, in-place edits, ``use_incremental_maintenance=False``)
-falls back to the full rebuild.
+(trimmed history, in-place edits) falls back to the full rebuild.
 
 Extraction: ``execute(query, extract=True)`` additionally returns the
 nodes selected by the query's extraction paths in document order --
 ``(collection, document, node id)`` -- served by the summary's ordered
 multi-path merges (``CompiledXPath.select_nodes(ordered=True)``).
 
-Vectorized predicates: with ``use_vectorized_predicates`` (the
-default), scan plans never touch ``XmlNode`` objects at all.  Each
-predicate becomes one call to
-:meth:`~repro.storage.columnar.ColumnarStore.matching_documents` --
-two bisects over the path's value-sorted posting permutation -- and the
-per-predicate document sets are intersected, so a scan costs
-O(matching postings) instead of O(documents x predicate nodes).
-Index-plan residual checks ride the same sets, and
-``execute(extract_values=True)`` serves the extraction paths'
+Index-plan residual checks ride the same per-collection document sets,
+and ``execute(extract_values=True)`` serves the extraction paths'
 *normalized values* straight from the values column
 (``ExecutionResult.extracted_values``) without materializing nodes.
 The ``scan_node_materializations`` counter proves it: zero on the
-vectorized path, positive on every legacy path.
+columnar engine, positive in degraded mode and on the interpretive
+reference.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -104,16 +98,9 @@ if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
 escape_hatch("use_path_summary",
              "legacy per-document interpretive scans instead of the "
              "structural path-summary engine")
-escape_hatch("use_collection_routing",
-             "walk every collection instead of pruning by the plan's "
-             "structural routing set")
 escape_hatch("use_columnar",
-             "answer path spines from the object-tree summary/interpreter "
-             "instead of the columnar pre/post axis engine")
-escape_hatch("use_vectorized_predicates",
-             "evaluate value predicates per document over materialized "
-             "XmlNode objects instead of the columnar store's set-at-a-time "
-             "value projections")
+             "evaluate per document over the object-tree summary/interpreter "
+             "instead of the columnar store's set-at-a-time engine")
 
 #: Fixed bucket bounds (seconds) for the per-query wall-clock latency
 #: histogram -- literal by the telemetry contract (no data-dependent
@@ -147,8 +134,8 @@ class ExecutionResult:
     extracted_nodes: Optional[List[XmlNode]] = None
     #: Normalized string values of the nodes the extraction paths select,
     #: in the same order as ``extracted_nodes``; only populated by
-    #: ``execute(extract_values=True)``.  On the vectorized path these
-    #: come straight from the columnar values column -- byte-identical
+    #: ``execute(extract_values=True)``.  On the columnar engine these
+    #: come straight from the values column -- byte-identical
     #: to ``normalized_node_value`` over the extracted nodes.
     extracted_values: Optional[List[str]] = None
     #: Span tree recorded by ``execute(trace=True)`` (or with tracing
@@ -210,26 +197,20 @@ class _IndexProbeError(Exception):
 class QueryExecutor:
     """Executes normalized queries against a database's documents.
 
-    ``use_path_summary`` selects the scan engine: ``True`` (default)
-    answers path lookups from each collection's structural
-    :class:`~repro.storage.path_summary.PathSummary`; ``False`` forces
-    the legacy per-document interpretive evaluation (kept for
-    benchmarking and equivalence testing).  ``use_columnar`` layers the
-    columnar pre/post axis engine on top: linear spines -- including
-    the summary-unsafe ``//`` shapes the summary cannot answer -- are
-    served from each collection's
-    :class:`~repro.storage.columnar.ColumnarStore` instead of the
-    summary or the interpreter.  Defaults to the ``REPRO_USE_COLUMNAR``
-    environment switch (on unless set to ``"0"``).
+    The engine is each collection's
+    :class:`~repro.storage.columnar.ColumnarStore`: predicates and value
+    extraction run set-at-a-time over its columns.  The two keywords
+    exist to build references for it: ``use_columnar=False`` evaluates
+    per document over the structural
+    :class:`~repro.storage.path_summary.PathSummary` (what a collection
+    degrades to by itself when its store cannot be published), and
+    ``use_path_summary=False`` evaluates purely interpretively.
     """
 
     def __init__(self, database: XmlDatabase,
                  optimizer: Optional[Optimizer] = None,
                  use_path_summary: bool = True,
-                 use_incremental_maintenance: bool = True,
-                 use_collection_routing: bool = True,
-                 use_columnar: Optional[bool] = None,
-                 use_vectorized_predicates: Optional[bool] = None,
+                 use_columnar: bool = True,
                  monitor: Optional["WorkloadMonitor"] = None,
                  registry: Optional[MetricsRegistry] = None,
                  trace: Optional[bool] = None) -> None:
@@ -240,38 +221,9 @@ class QueryExecutor:
         #: decayed frequency store (see :mod:`repro.tuning.monitor`).
         self.monitor = monitor
         self.use_path_summary = use_path_summary
-        #: Maintain materialized indexes from the collections' delta
-        #: journals on data change; ``False`` restores the legacy
-        #: rebuild-every-index behaviour for equivalence testing.
-        self.use_incremental_maintenance = use_incremental_maintenance
-        #: Structural routing: scan only the collections recorded in the
-        #: plan's routing set (the collections whose synopsis can match
-        #: the query's patterns) and skip candidate documents outside it
-        #: during index-plan residual checks.  Routing never changes
-        #: results -- a pruned collection provably contains no match --
-        #: only the work done.  ``False`` restores the walk-everything
-        #: behaviour for benchmarking and equivalence testing.
-        self.use_collection_routing = use_collection_routing
-        #: Columnar pre/post engine: serve linear path spines from each
-        #: collection's ColumnarStore (exact descendant-or-self ``//``
-        #: semantics) instead of the summary/interpreter.  Only active
-        #: together with ``use_path_summary`` so the legacy interpretive
-        #: mode stays purely interpretive for equivalence benchmarks.
-        if use_columnar is None:
-            use_columnar = os.environ.get("REPRO_USE_COLUMNAR", "1") != "0"
+        #: Only active together with ``use_path_summary``, so the
+        #: interpretive reference stays purely interpretive.
         self.use_columnar = use_columnar
-        #: Set-at-a-time value predicates: evaluate each predicate as two
-        #: bisects over the columnar store's value-sorted projection and
-        #: intersect the resulting document sets, instead of materializing
-        #: XmlNode objects per document and comparing one at a time.
-        #: Rides on top of the columnar engine, so it only activates where
-        #: ``_columnar_for`` yields a store (hatches on, no fault
-        #: degradation).  Defaults to the ``REPRO_USE_VECTORIZED``
-        #: environment switch (on unless set to ``"0"``).
-        if use_vectorized_predicates is None:
-            use_vectorized_predicates = (
-                os.environ.get("REPRO_USE_VECTORIZED", "1") != "0")
-        self.use_vectorized_predicates = use_vectorized_predicates
         #: Physical index structures keyed by definition key.
         self._indexes: Dict[Tuple[str, str], PhysicalPathIndex] = {}
         self._doc_lookup: Dict[Tuple[str, int], DocumentNode] = {}
@@ -385,10 +337,9 @@ class QueryExecutor:
 
     @property
     def interpretive_spine_fallbacks(self) -> int:
-        """Path spines answered by the interpretive evaluator because
-        neither the columnar store nor the summary could back them
-        (the E13 benchmark asserts this stays zero on the columnar
-        path)."""
+        """Path spines answered by the interpretive evaluator in
+        degraded mode because the summary could not back them (zero on
+        the columnar engine)."""
         return self._m_interpretive_spine_fallbacks.value
 
     @interpretive_spine_fallbacks.setter
@@ -398,9 +349,8 @@ class QueryExecutor:
     @property
     def scan_node_materializations(self) -> int:
         """XmlNode list materializations performed while matching or
-        extracting (every ``select_nodes`` call on a legacy path).  The
-        E14 benchmark and the vectorized equivalence tests assert this
-        stays zero on the vectorized scan path -- the proof that
+        extracting (every ``select_nodes`` call).  Zero on the columnar
+        engine unless ``extract=True`` asks for nodes -- the proof that
         predicates and value extraction never left the columns."""
         return self._m_scan_node_materializations.value
 
@@ -430,8 +380,7 @@ class QueryExecutor:
             if structure is None:
                 # Build before touching the catalog: a failed build must
                 # never strand a definition without a structure.
-                structure = build_physical_index(physical, self.database,
-                                                 use_columnar=self.use_columnar)
+                structure = build_physical_index(physical, self.database)
                 built.append(physical.name)
             self.install_index(physical, structure)
         return built
@@ -444,8 +393,7 @@ class QueryExecutor:
         """
         if self.database.data_signature() != self._lookup_signature:
             self._maintain_derived_state()
-        return build_physical_index(definition.as_physical(), self.database,
-                                    use_columnar=self.use_columnar)
+        return build_physical_index(definition.as_physical(), self.database)
 
     def install_index(self, definition: IndexDefinition,
                       structure: PhysicalPathIndex) -> None:
@@ -539,8 +487,8 @@ class QueryExecutor:
         signature = self.database.data_signature()
         for key, physical in list(self._indexes.items()):
             try:
-                rebuilt = build_physical_index(physical.definition, self.database,
-                                               use_columnar=self.use_columnar)
+                rebuilt = build_physical_index(physical.definition,
+                                               self.database)
             except Exception as exc:  # noqa: BLE001 -- containment: degrade
                 self._degrade_index(physical.definition.name,
                                     f"rebuild failed: {exc}")
@@ -562,7 +510,7 @@ class QueryExecutor:
         self._refresh_document_lookup()  # O(documents): always cheap
         if not self._indexes:
             return
-        if not self.use_incremental_maintenance or old_signature is None:
+        if old_signature is None:
             self._rebuild_indexes()
             return
         old_versions = dict(old_signature)
@@ -606,8 +554,7 @@ class QueryExecutor:
                     "rebuilding")
                 try:
                     self._indexes[key] = build_physical_index(
-                        index.definition, self.database,
-                        use_columnar=self.use_columnar)
+                        index.definition, self.database)
                 except Exception as rebuild_exc:  # noqa: BLE001
                     self._degrade_index(
                         name, "rebuild after failed delta maintenance "
@@ -665,8 +612,8 @@ class QueryExecutor:
         document, in document order (``ExecutionResult.extracted_nodes``).
         With ``extract_values=True``, it carries those nodes' normalized
         string values instead (``ExecutionResult.extracted_values``) --
-        on the vectorized path served straight from the columnar values
-        column, with no node materialization at all.
+        served straight from the columnar values column, with no node
+        materialization at all.
 
         With ``trace=True`` (or tracing armed executor/process-wide,
         see ``REPRO_TRACE``), the result carries a span tree on
@@ -804,7 +751,7 @@ class QueryExecutor:
         values: Optional[List[str]] = [] if extract_values else None
         collections = self.database.collections
         routed_out = 0
-        if self.use_collection_routing and routing is not None:
+        if routing is not None:
             # Structural pruning: a collection outside the plan's
             # routing set provably contains no matching document (its
             # synopsis cannot satisfy the query's patterns), so the
@@ -823,14 +770,16 @@ class QueryExecutor:
                         documents_routed_out=routed_out)
         scan_span: Optional[Span] = None
         scan_start = 0.0
+        engines: Set[str] = set()
         if trace is not None:
-            scan_span = trace.child(
-                "scan", vectorized=self.use_vectorized_predicates)
+            scan_span = trace.child("scan")
             scan_start = wall_clock()
         for collection in collections:
             summary = self._summary_for(collection.name)
             columnar = self._columnar_for(collection.name)
-            if columnar is not None and self.use_vectorized_predicates:
+            if scan_span is not None:
+                engines.add(_engine(summary, columnar))
+            if columnar is not None:
                 # Set-at-a-time: one document set per predicate (two
                 # bisects over the path's value-sorted projection),
                 # intersected -- no per-document loop, no XmlNode hop.
@@ -840,8 +789,7 @@ class QueryExecutor:
                 if extracted is None and values is None:
                     continue
                 # Collections iterate in ascending doc-id order, so the
-                # sorted key walk reproduces the legacy extraction
-                # stream exactly.
+                # sorted key walk is the per-document extraction stream.
                 ordered_keys = sorted(doc_keys)
                 if values is not None:
                     values.extend(columnar.values_for_documents(
@@ -854,19 +802,21 @@ class QueryExecutor:
                             extracted.extend(self._extract_nodes(
                                 document, query, summary, columnar))
                 continue
+            # Degraded mode (no store) and the references: per document.
             for document in collection:
                 examined += 1
-                if self._document_matches(document, query, summary, columnar):
+                if self._document_matches(document, query, summary):
                     matching_docs += 1
                     if extracted is not None:
                         extracted.extend(self._extract_nodes(
-                            document, query, summary, columnar))
+                            document, query, summary))
                     if values is not None:
                         values.extend(self._extract_values(
-                            document, query, summary, columnar))
+                            document, query, summary))
         if scan_span is not None:
             scan_span.elapsed_seconds = wall_clock() - scan_start
-            scan_span.annotate(documents_examined=examined,
+            scan_span.annotate(engines=sorted(engines),
+                               documents_examined=examined,
                                matching_documents=matching_docs)
         if trace is not None and (extract or extract_values):
             trace.child(
@@ -888,10 +838,10 @@ class QueryExecutor:
         sets are intersected with an empty-set early exit.  A pure
         navigation query matches where any extraction path has a
         posting (:meth:`ColumnarStore.documents_with_match` -- a
-        skip-scan, one probe per distinct document).  Byte-identical to
-        `_document_matches` over every document by construction: the
-        projections sort the same ``typed_value``/``double_value``
-        results ``_compare_node`` reads.
+        skip-scan, one probe per distinct document).  Equal to
+        `_document_matches` over every document: the projections sort
+        the same ``typed_value``/``double_value`` results
+        ``_compare_node`` reads.
         """
         docs: Optional[Set[int]] = None
         for predicate in query.predicates:
@@ -940,7 +890,7 @@ class QueryExecutor:
                                     entries_scanned=entries_scanned,
                                     candidate_documents=len(candidate_docs))
         routed_out = 0
-        if self.use_collection_routing and plan.routing is not None:
+        if plan.routing is not None:
             # The index may be more general than the query's patterns
             # and return entries from collections the query cannot
             # match; routing skips their residual checks entirely.
@@ -971,10 +921,9 @@ class QueryExecutor:
                 key=lambda key: (rank.get(key[0], len(rank)), key[1]))
         else:
             ordered_docs = candidate_docs
-        # Residual checks on the vectorized path: the full matching-key
-        # set is computed once per collection (the same intersected
-        # bisect sets the scan path uses) and each candidate becomes a
-        # set-membership probe instead of a per-document node walk.
+        # Residual checks: the full matching-key set is computed once
+        # per collection (the same intersected bisect sets the scan path
+        # uses) and each candidate becomes a set-membership probe.
         vectorized_keys: Dict[str, Set[int]] = {}
         # Values are extracted with one store call per run of matched
         # documents of one store (the visiting order above makes that a
@@ -990,9 +939,9 @@ class QueryExecutor:
 
         residual_span: Optional[Span] = None
         residual_start = 0.0
+        engines: Set[str] = set()
         if trace is not None:
-            residual_span = trace.child(
-                "residual", vectorized=self.use_vectorized_predicates)
+            residual_span = trace.child("residual")
             residual_start = wall_clock()
         for key in ordered_docs:
             document = self._doc_lookup.get(key)
@@ -1001,7 +950,9 @@ class QueryExecutor:
             summary = self._summary_for(key[0])
             columnar = self._columnar_for(key[0])
             examined += 1
-            if columnar is not None and self.use_vectorized_predicates:
+            if residual_span is not None:
+                engines.add(_engine(summary, columnar))
+            if columnar is not None:
                 matched_keys = vectorized_keys.get(key[0])
                 if matched_keys is None:
                     matched_keys = self._vectorized_document_keys(
@@ -1009,15 +960,14 @@ class QueryExecutor:
                     vectorized_keys[key[0]] = matched_keys
                 matched = key[1] in matched_keys
             else:
-                matched = self._document_matches(document, query, summary,
-                                                 columnar)
+                matched = self._document_matches(document, query, summary)
             if matched:
                 matching += 1
                 if extracted is not None:
                     extracted.extend(self._extract_nodes(
                         document, query, summary, columnar))
                 if values is not None:
-                    if columnar is not None and self.use_vectorized_predicates:
+                    if columnar is not None:
                         if columnar is not run_store:
                             flush_run()
                             run_store = columnar
@@ -1025,11 +975,12 @@ class QueryExecutor:
                     else:
                         flush_run()
                         values.extend(self._extract_values(
-                            document, query, summary, columnar))
+                            document, query, summary))
         flush_run()
         if residual_span is not None:
             residual_span.elapsed_seconds = wall_clock() - residual_start
-            residual_span.annotate(documents_examined=examined,
+            residual_span.annotate(engines=sorted(engines),
+                                   documents_examined=examined,
                                    matching_documents=matching)
         if trace is not None and (extract or extract_values):
             trace.child(
@@ -1071,51 +1022,33 @@ class QueryExecutor:
     # Residual evaluation
     # ------------------------------------------------------------------
     def _document_matches(self, document: DocumentNode, query: NormalizedQuery,
-                          summary: Optional[PathSummary] = None,
-                          columnar: Optional[ColumnarStore] = None) -> bool:
+                          summary: Optional[PathSummary]) -> bool:
+        """Per-document matching without a store: degraded mode and the
+        references (``summary`` is ``None`` on the interpretive one)."""
         evaluator: Optional[XPathEvaluator] = None
 
         def nodes_for(pattern: PathPattern) -> List[XmlNode]:
-            # Compiled patterns answer from the columnar store (every
-            # linear spine, including summary-unsafe ``//`` shapes) or
-            # the summary; without either (legacy mode, non-linear
-            # expressions) the compiled form delegates to the
-            # interpretive evaluator, which is created once per
+            # Summary-safe spines answer from the summary; the rest
+            # (``//`` shapes it cannot answer, or no summary at all) go
+            # to the interpretive evaluator, which is created once per
             # document and reused.
             nonlocal evaluator
             compiled = compile_pattern(pattern)
-            backed = ((columnar is not None and compiled.is_columnar_backed)
-                      or (summary is not None and compiled.is_summary_backed))
-            if not backed:
+            if summary is None or not compiled.is_summary_backed:
                 self._m_interpretive_spine_fallbacks.inc()
                 if evaluator is None:
                     evaluator = XPathEvaluator(document)
             self._m_scan_node_materializations.inc()
-            return compiled.select_nodes(summary, document, evaluator,
-                                         columnar=columnar)
+            return compiled.select_nodes(summary, document, evaluator)
 
         for predicate in query.predicates:
             if not self._predicate_holds(nodes_for(predicate.pattern), predicate):
                 return False
         if not query.predicates:
-            # Pure navigation query: the document qualifies when the first
-            # extraction path is non-empty.  Only existence is needed, so
-            # columnar-backed spines answer from the postings early-exit
-            # instead of materializing the node list.
-            for pattern in query.extraction_paths:
-                compiled = compile_pattern(pattern)
-                backed = ((columnar is not None
-                           and compiled.is_columnar_backed)
-                          or (summary is not None
-                              and compiled.is_summary_backed))
-                if not backed:
-                    self._m_interpretive_spine_fallbacks.inc()
-                    if evaluator is None:
-                        evaluator = XPathEvaluator(document)
-                if compiled.has_match(summary, document, evaluator,
-                                      columnar=columnar):
-                    return True
-            return False
+            # Pure navigation query: the document qualifies when any
+            # extraction path is non-empty.
+            return any(nodes_for(pattern)
+                       for pattern in query.extraction_paths)
         return True
 
     def _extract_nodes(self, document: DocumentNode, query: NormalizedQuery,
@@ -1149,15 +1082,12 @@ class QueryExecutor:
         return nodes
 
     def _extract_values(self, document: DocumentNode, query: NormalizedQuery,
-                        summary: Optional[PathSummary],
-                        columnar: Optional[ColumnarStore] = None
-                        ) -> List[str]:
-        """Normalized values of the extraction-path nodes -- the legacy
-        (object-hop) counterpart of reading the columnar values column;
-        byte-identical by construction, since the column stores exactly
-        ``normalized_node_value`` per node."""
+                        summary: Optional[PathSummary]) -> List[str]:
+        """Normalized values of the extraction-path nodes -- the
+        per-document counterpart of reading the columnar values column,
+        which stores exactly ``normalized_node_value`` per node."""
         return [normalized_node_value(node) for node in
-                self._extract_nodes(document, query, summary, columnar)]
+                self._extract_nodes(document, query, summary)]
 
     @staticmethod
     def _predicate_holds(nodes: List[XmlNode],
@@ -1193,8 +1123,8 @@ class QueryExecutor:
 
     def _summary_for(self, collection_name: str) -> Optional[PathSummary]:
         """The collection's current path summary (memoized behind the
-        per-collection version listeners), or ``None`` in legacy
-        interpretive-scan mode."""
+        per-collection version listeners), or ``None`` on the
+        interpretive reference."""
         if not self.use_path_summary:
             return None
         summary = self._summaries.get(collection_name)
@@ -1217,9 +1147,8 @@ class QueryExecutor:
         per-collection version listeners), or ``None`` when the columnar
         engine is off or the store cannot be (re)built.
 
-        Gated on *both* hatches: legacy interpretive mode
-        (``use_path_summary=False``) must stay purely interpretive, so
-        the columnar engine only activates alongside the summary engine.
+        Gated on *both* keywords: the interpretive reference
+        (``use_path_summary=False``) must stay purely interpretive.
         """
         if not (self.use_path_summary and self.use_columnar):
             return None
@@ -1237,6 +1166,14 @@ class QueryExecutor:
                 return None
             self._columnars[collection_name] = columnar
         return columnar
+
+
+def _engine(summary: Optional[PathSummary],
+            columnar: Optional[ColumnarStore]) -> str:
+    """The strongest backing one collection visit had (span annotation)."""
+    if columnar is not None:
+        return "columnar"
+    return "summary" if summary is not None else "interpreter"
 
 
 def _compare_node(node, predicate: PathPredicate) -> bool:

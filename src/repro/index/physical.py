@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -232,9 +231,7 @@ def _entry_order(entry: IndexEntry):
 
 
 def build_physical_index(definition: IndexDefinition,
-                         database: XmlDatabase,
-                         use_columnar: Optional[bool] = None
-                         ) -> PhysicalPathIndex:
+                         database: XmlDatabase) -> PhysicalPathIndex:
     """Materialize a physical index over the database's documents.
 
     Every element/attribute node whose simple path is matched by the
@@ -243,42 +240,24 @@ def build_physical_index(definition: IndexDefinition,
     nodes whose value does not cast, matching DB2 semantics.
 
     The candidate nodes come from each collection's columnar store
-    (:meth:`~repro.storage.columnar.ColumnarStore.iter_strict_pattern_nodes`,
-    the default -- one postings walk per matching path) or its
-    structural :class:`~repro.storage.path_summary.PathSummary`
-    (``use_columnar=False``, the legacy path): either way the pattern is
-    matched once against the collection's distinct paths and only the
-    nodes on matching paths are visited, instead of re-walking every
-    document tree per index build.  Both feed the same
-    :func:`_entry_for_node` and the entries are canonically sorted by
-    ``finalize``, so the built structures are byte-identical.
-    ``use_columnar`` defaults to the ``REPRO_USE_COLUMNAR`` environment
-    switch (on unless set to ``"0"``).
+    (:meth:`~repro.storage.columnar.ColumnarStore.iter_strict_pattern_nodes`):
+    the pattern is matched once against the collection's distinct paths
+    and only the postings of matching paths are walked, instead of
+    re-walking every document tree per index build.  A store that cannot
+    be published fails the build, like a fault at ``index.build``.
     """
-    if use_columnar is None:
-        use_columnar = os.environ.get("REPRO_USE_COLUMNAR", "1") != "0"
     index = PhysicalPathIndex(definition.as_physical())
     collections = database.collections
     if definition.collection is not None:
         collections = [database.collection(definition.collection)]
     numeric = definition.value_type is ValueType.DOUBLE
     for collection in collections:
-        if use_columnar:
-            store = collection.columnar_store
-            for doc_id, node in store.iter_strict_pattern_nodes(definition.pattern):
-                entry = _entry_for_node(collection.name, doc_id, node, numeric)
-                if entry is not None:
-                    index.insert(entry.key, entry.collection,
-                                 entry.doc_id, entry.node_id)
-            continue
-        summary = collection.path_summary
-        for path in summary.paths_matching(definition.pattern):
-            for doc_id, nodes in summary.doc_nodes_for_path(path).items():
-                for node in nodes:
-                    entry = _entry_for_node(collection.name, doc_id, node, numeric)
-                    if entry is not None:
-                        index.insert(entry.key, entry.collection,
-                                     entry.doc_id, entry.node_id)
+        store = collection.columnar_store
+        for doc_id, node in store.iter_strict_pattern_nodes(definition.pattern):
+            entry = _entry_for_node(collection.name, doc_id, node, numeric)
+            if entry is not None:
+                index.insert(entry.key, entry.collection,
+                             entry.doc_id, entry.node_id)
     # Consulted before finalize: a persistent fault discards the
     # partially-built structure with the local variable, so a failed
     # build never publishes anything.

@@ -81,10 +81,8 @@ class Optimizer:
     Catalog-defaulted calls (``candidate_indexes=None``) are never cached,
     because catalog contents can change without the data signature moving.
 
-    Invalidation is *collection-scoped* when
-    ``enable_fine_grained_invalidation`` is on (the default): a
-    signature move is diffed by a
-    :class:`~repro.storage.maintenance.DataChangeTracker`, and only the
+    Invalidation is *collection-scoped*: a signature move is diffed by
+    a :class:`~repro.storage.maintenance.DataChangeTracker`, and only the
     cached plans whose statistics inputs actually changed are evicted --
     plans whose query patterns and candidate index patterns touch no
     changed path survive.  With ``use_collection_costing`` (the
@@ -97,8 +95,7 @@ class Optimizer:
     drops the cache wholesale (the exactness guard), and the
     fine-grained path pays off only for signature churn that leaves
     the synopsis intact (RUNSTATS, empty-collection DDL, net-zero
-    batches).  ``enable_fine_grained_invalidation=False`` restores the
-    legacy drop-everything behaviour.
+    batches).
 
     :attr:`plan_calls` counts plans actually computed and
     :attr:`plan_cache_hits` counts calls served from the cache; the
@@ -108,13 +105,11 @@ class Optimizer:
     def __init__(self, database: XmlDatabase,
                  parameters: Optional[CostParameters] = None,
                  enable_plan_cache: bool = True,
-                 enable_fine_grained_invalidation: bool = True,
                  use_collection_costing: bool = True,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.database = database
         self.parameters = parameters
         self.enable_plan_cache = enable_plan_cache
-        self.enable_fine_grained_invalidation = enable_fine_grained_invalidation
         #: Price every query against the merged synopsis of its routing
         #: set (the collections its patterns can match) instead of the
         #: whole-database aggregates, and revalidate cached plans
@@ -203,8 +198,7 @@ class Optimizer:
         """The cache key for this call, or None when caching is off.
 
         Also revalidates the cached entries against the database's data
-        signature (selectively with fine-grained invalidation, wholesale
-        otherwise).
+        signature.
         """
         if not self.enable_plan_cache:
             return None
@@ -217,9 +211,8 @@ class Optimizer:
         if signature == self._plan_cache_signature:
             return
         change: Optional[DataChange] = None
-        if (self.enable_fine_grained_invalidation
-                and self._tracker is not None
-                and self._plan_cache_signature is not None):
+        if self._tracker is not None \
+                and self._plan_cache_signature is not None:
             change = self._tracker.poll()
         if change is not None and (self.use_collection_costing
                                    or not change.aggregates_changed):
@@ -229,7 +222,7 @@ class Optimizer:
                 self._m_plan_cache_flushes.inc()
             self._plan_cache.clear()
             self._update_plan_cache.clear()
-        if self.enable_fine_grained_invalidation and self._tracker is None:
+        if self._tracker is None:
             self._tracker = DataChangeTracker(self.database)
         self._plan_cache_signature = signature
 

@@ -96,8 +96,7 @@ KIND_ATTRIBUTE = 1
 #: Together with the synopsis's per-path ``total_value_bytes`` and
 #: ``numeric_count`` this makes the store's :attr:`ColumnarStore.nbytes`
 #: derivable from statistics alone (see
-#: ``DatabaseStatistics.columnar_bytes``), identically in both
-#: ``use_columnar`` modes.
+#: ``DatabaseStatistics.columnar_bytes``).
 COLUMNAR_NODE_BYTES = 5 * array("q").itemsize + array("b").itemsize \
     + 2 * array("q").itemsize
 
@@ -623,18 +622,6 @@ class ColumnarStore:
             if segment:
                 merged.extend(nodes[p] for p in segment)
         return merged
-
-    def has_match(self, pattern: PathPattern,
-                  doc_id: Optional[int] = None) -> bool:
-        """Existence test: does any node match (in ``doc_id``)?"""
-        ids = self._paths_for(pattern, strict=False)
-        if not ids:
-            return False
-        bounds = self._doc_slice(doc_id)
-        if bounds is None:
-            return False
-        lo, hi = bounds
-        return any(len(self._positions_in(pid, lo, hi)) for pid in ids)
 
     def iter_strict_pattern_nodes(self, pattern: PathPattern
                                   ) -> Iterator[Tuple[int, XmlNode]]:

@@ -6,15 +6,14 @@ column: a bag of documents plus the statistics gathered over them.  An
 :class:`~repro.storage.catalog.Catalog`; it is the object the optimizer,
 the advisor, and the executor are handed.
 
-Data change is propagated as a *delta* by default
-(``use_incremental_maintenance=True``): every document add/remove
+Data change is propagated as a *delta*: every document add/remove
 captures the document's per-path node groups once
 (:func:`~repro.storage.maintenance.compute_document_delta`), folds them
-into the cached path summary and statistics accumulator in O(document
-nodes) instead of dropping them for an O(collection nodes) rebuild, and
-journals the delta so detached consumers (the executor's materialized
-indexes) can catch up.  ``use_incremental_maintenance=False`` restores
-the legacy drop-everything behaviour for equivalence testing.
+into the cached path summary, columnar store and statistics accumulator
+instead of dropping them for a rebuild, and journals the delta so
+detached consumers (the executor's materialized indexes) can catch up.
+In-place edits (:meth:`XmlCollection.invalidate_statistics`) cannot be
+expressed as a delta: they drop the derived state and break the journal.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import (
     Union,
 )
 
-from repro.contracts import builder, cache_contract, escape_hatch
+from repro.contracts import builder, cache_contract
 from repro.faults import guarded_fault_point
 from repro.storage.catalog import Catalog
 from repro.storage.maintenance import (
@@ -47,7 +46,6 @@ from repro.storage.path_summary import PathSummary, build_path_summary
 from repro.storage.statistics import (
     DatabaseStatistics,
     StatisticsAccumulator,
-    collect_statistics_from_summary,
 )
 from repro.xmldb.nodes import DocumentNode
 from repro.xmldb.parser import parse_document
@@ -55,11 +53,6 @@ from repro.xmldb.parser import parse_document
 
 class StorageError(Exception):
     """Raised on invalid document-store operations."""
-
-
-#: Delta-based maintenance of derived state; ``False`` restores the
-#: legacy drop-and-rebuild behaviour for equivalence testing.
-escape_hatch("use_incremental_maintenance")
 
 
 @cache_contract(memos={
@@ -76,16 +69,11 @@ class XmlCollection:
     """A named collection of XML documents (a table with an XML column)."""
 
     def __init__(self, name: str,
-                 use_incremental_maintenance: bool = True,
                  delta_log_capacity: int = DELTA_LOG_CAPACITY) -> None:
         if delta_log_capacity < 1:
             raise ValueError(
                 f"delta_log_capacity must be positive, got {delta_log_capacity}")
         self.name = name
-        #: Maintain the path summary and statistics through per-document
-        #: deltas (and journal them for downstream consumers) instead of
-        #: dropping and rebuilding them on every add/remove.
-        self.use_incremental_maintenance = use_incremental_maintenance
         #: How many deltas the journal retains before consumers further
         #: behind must rebuild (see :class:`~repro.storage.maintenance.DeltaLog`).
         self.delta_log_capacity = delta_log_capacity
@@ -114,12 +102,9 @@ class XmlCollection:
         if document.node_id < 0:
             document.assign_node_ids()
         self._documents.append(document)
-        if self.use_incremental_maintenance:
-            self._apply_delta(CollectionDelta(
-                collection=self.name, kind=ADD, version=self._version + 1,
-                document=compute_document_delta(document)))
-        else:
-            self._invalidate_derived()
+        self._apply_delta(CollectionDelta(
+            collection=self.name, kind=ADD, version=self._version + 1,
+            document=compute_document_delta(document)))
         return document
 
     def add_documents(self, documents: Iterable[Union[DocumentNode, str, bytes]]) -> None:
@@ -130,20 +115,14 @@ class XmlCollection:
         """Remove a document by id (ids of later documents are reassigned)."""
         if not 0 <= doc_id < len(self._documents):
             raise StorageError(f"no document with id {doc_id} in collection {self.name!r}")
-        removed = self._documents[doc_id]
-        delta: Optional[CollectionDelta] = None
-        if self.use_incremental_maintenance:
-            # Capture the groups before removal, while doc_id is intact.
-            delta = CollectionDelta(
-                collection=self.name, kind=REMOVE, version=self._version + 1,
-                document=compute_document_delta(removed))
+        # Capture the groups before removal, while doc_id is intact.
+        delta = CollectionDelta(
+            collection=self.name, kind=REMOVE, version=self._version + 1,
+            document=compute_document_delta(self._documents[doc_id]))
         del self._documents[doc_id]
         for index, document in enumerate(self._documents):
             document.doc_id = index
-        if delta is not None:
-            self._apply_delta(delta)
-        else:
-            self._invalidate_derived()
+        self._apply_delta(delta)
 
     def _apply_delta(self, delta: CollectionDelta) -> None:
         """Fold one add/remove into the cached derived state and journal it."""
@@ -162,9 +141,8 @@ class XmlCollection:
         """Drop the cached statistics and path summary; bump the version.
 
         This is the full-rebuild path: it also breaks the delta journal,
-        because in-place edits (or non-incremental mode) cannot be
-        replayed -- consumers that ask for deltas across this point get
-        ``None`` and rebuild.
+        because in-place edits cannot be replayed -- consumers that ask
+        for deltas across this point get ``None`` and rebuild.
         """
         self._statistics = None
         self._summary = None
@@ -209,9 +187,9 @@ class XmlCollection:
 
     def deltas_since(self, version: int) -> Optional[List[CollectionDelta]]:
         """The journal of changes after ``version`` (oldest first), or
-        ``None`` when the journal cannot bridge the gap (history trimmed,
-        in-place edits, or incremental maintenance disabled) -- the
-        consumer must then rebuild its derived state."""
+        ``None`` when the journal cannot bridge the gap (history trimmed
+        or in-place edits) -- the consumer must then rebuild its derived
+        state."""
         return self._delta_log.since(version)
 
     @property
@@ -240,10 +218,9 @@ class XmlCollection:
     def path_summary(self) -> PathSummary:
         """The structural path summary (built lazily in one O(nodes) pass).
 
-        With incremental maintenance the cached summary is *replaced* --
-        not rebuilt -- on document add/remove via
-        :meth:`~repro.storage.path_summary.PathSummary.apply_delta`;
-        without it, the summary is dropped and rebuilt here.  Either way
+        The cached summary is *replaced* -- not rebuilt -- on document
+        add/remove via
+        :meth:`~repro.storage.path_summary.PathSummary.apply_delta`, so
         consumers must re-fetch per use instead of holding one across
         updates.
         """
@@ -260,12 +237,11 @@ class XmlCollection:
     def columnar_store(self) -> ColumnarStore:
         """The columnar pre/post encoding of this collection (lazy).
 
-        Maintained exactly like :attr:`path_summary`: with incremental
-        maintenance the cached store is *replaced* on document
-        add/remove via
-        :meth:`~repro.storage.columnar.ColumnarStore.apply_delta`;
-        without it, it is dropped and rebuilt here.  Consumers must
-        re-fetch per use instead of holding one across updates.
+        Maintained exactly like :attr:`path_summary`: the cached store
+        is *replaced* on document add/remove via
+        :meth:`~repro.storage.columnar.ColumnarStore.apply_delta`.
+        Consumers must re-fetch per use instead of holding one across
+        updates.
         """
         if self._columnar is None:
             store = build_columnar_store(self._documents)
@@ -281,22 +257,16 @@ class XmlCollection:
 
         Derived from :attr:`path_summary`, so statistics collection and
         structural lookups share a single traversal of the documents.
-        With incremental maintenance the synopsis is snapshotted from a
-        delta-maintained accumulator (O(distinct paths)) instead of
-        recollected from all nodes.
+        The synopsis is snapshotted from a delta-maintained accumulator
+        (O(distinct paths)) instead of recollected from all nodes.
         """
         if self._statistics is None:
-            if self.use_incremental_maintenance:
-                if self._accumulator is None:
-                    accumulator = StatisticsAccumulator.from_summary(
-                        self.path_summary)
-                    guarded_fault_point("stats.rebuild")
-                    self._accumulator = accumulator
-                self._statistics = self._accumulator.snapshot()
-            else:
-                statistics = collect_statistics_from_summary(self.path_summary)
+            if self._accumulator is None:
+                accumulator = StatisticsAccumulator.from_summary(
+                    self.path_summary)
                 guarded_fault_point("stats.rebuild")
-                self._statistics = statistics
+                self._accumulator = accumulator
+            self._statistics = self._accumulator.snapshot()
         return self._statistics
 
     def invalidate_statistics(self) -> None:
@@ -325,13 +295,11 @@ class XmlDatabase:
     """
 
     def __init__(self, name: str = "xmldb",
-                 use_incremental_maintenance: bool = True,
                  delta_log_capacity: int = DELTA_LOG_CAPACITY) -> None:
         if delta_log_capacity < 1:
             raise ValueError(
                 f"delta_log_capacity must be positive, got {delta_log_capacity}")
         self.name = name
-        self.use_incremental_maintenance = use_incremental_maintenance
         #: Journal capacity handed to every collection this database
         #: creates (see :class:`~repro.storage.maintenance.DeltaLog`):
         #: consumers that fall further behind than this rebuild instead
@@ -351,8 +319,7 @@ class XmlDatabase:
         if name in self._collections:
             return self._collections[name]
         collection = XmlCollection(
-            name, use_incremental_maintenance=self.use_incremental_maintenance,
-            delta_log_capacity=self.delta_log_capacity)
+            name, delta_log_capacity=self.delta_log_capacity)
         collection.subscribe(self._on_collection_change)
         self._collections[name] = collection
         self._merged_statistics = None

@@ -13,12 +13,12 @@ TPoX side scaled up as ballast.  Two comparisons run against it:
 
 * **scan routing** -- the XMark query workload (every query
   single-collection-rooted at ``/site``) is executed as document scans
-  by a routed executor (collection-scoped costing + structural routing,
-  the defaults) and by an unrouted one
-  (``use_collection_costing=False`` + ``use_collection_routing=False``,
-  the escape hatch): wall-clock, documents examined, and per-query
-  result identity.  The routed scan visits only the ``xmark``
-  collection; the unrouted scan walks the ballast too.
+  by a routed executor (collection-scoped costing, the default) and by
+  an unrouted one (``Optimizer(use_collection_costing=False)`` plans
+  carry no routing set): documents examined and per-query result
+  identity.  The routed scan visits only the ``xmark`` collection; the
+  unrouted scan walks the ballast too.  Not timed: on the columnar
+  engine an unrouted collection costs a handful of bisects.
 * **what-if re-costing** -- a combined XMark+TPoX workload is evaluated
   against a fixed index configuration by a routed and an escape-hatch
   :class:`~repro.advisor.benefit.ConfigurationEvaluator`; one document
@@ -55,7 +55,6 @@ from repro.executor.executor import QueryExecutor
 from repro.index.definition import IndexConfiguration, IndexDefinition
 from repro.optimizer.optimizer import Optimizer
 from repro.storage.document_store import XmlDatabase
-from repro.telemetry import wall_clock
 from repro.workloads.tpox import (
     TpoxConfig,
     generate_tpox_database,
@@ -71,8 +70,8 @@ from repro.xquery.model import NormalizedQuery, Workload, WorkloadStatement
 from repro.xquery.normalizer import normalize_workload
 
 #: The TPoX ballast is this many times the XMark scale: the routed scan
-#: only ever touches the XMark collection, so the ballast factor is what
-#: the unrouted scan pays for.
+#: only ever touches the XMark collection, the unrouted one walks the
+#: ballast as well.
 BALLAST_FACTOR = 4.0
 
 #: The collection the single-document add targets in the re-costing
@@ -97,8 +96,6 @@ class RoutingComparison:
 
     xmark_documents: int
     ballast_documents: int
-    routed_seconds: float
-    unrouted_seconds: float
     routed_documents_examined: int
     unrouted_documents_examined: int
     #: Per-query result counts identical between the two scan modes.
@@ -120,11 +117,6 @@ class RoutingComparison:
     #: between a long-lived advisor whose caches lived through the add
     #: and a fresh advisor on the changed database.
     configurations_identical: bool
-
-    @property
-    def scan_ratio(self) -> float:
-        """Wall-clock speedup of the routed scan (higher is better)."""
-        return self.unrouted_seconds / max(self.routed_seconds, 1e-9)
 
     @property
     def recosting_ratio(self) -> float:
@@ -173,36 +165,19 @@ def _configuration() -> IndexConfiguration:
         for pattern, value_type in CONFIGURATION_PATTERNS])
 
 
-def _measure_scans(database: XmlDatabase, queries: Sequence[NormalizedQuery],
-                   repeats: int = 3) -> Tuple[float, float, int, int, bool]:
-    """Best-of-``repeats`` wall-clock for routed vs unrouted scans.
-
-    Vectorized predicates are pinned off on both sides so the ratio
-    keeps isolating *routing*: with the set-at-a-time engine on, an
-    unrouted collection costs a handful of bisects and the per-document
-    work routing exists to avoid never happens (the E14 benchmark owns
-    that comparison).
-    """
-    routed = QueryExecutor(database, use_vectorized_predicates=False)
+def _compare_scans(database: XmlDatabase, queries: Sequence[NormalizedQuery]
+                   ) -> Tuple[int, int, bool]:
+    """Documents examined by routed and unrouted scans, and whether the
+    per-query result counts agree."""
+    routed = QueryExecutor(database)
     unrouted = QueryExecutor(
-        database, optimizer=Optimizer(database, use_collection_costing=False),
-        use_collection_routing=False, use_vectorized_predicates=False)
-    routed_best = unrouted_best = float("inf")
-    routed_docs = unrouted_docs = 0
-    identical = True
-    for _ in range(repeats):
-        start = wall_clock()
-        routed_results = [routed.execute(query) for query in queries]
-        routed_best = min(routed_best, wall_clock() - start)
-        start = wall_clock()
-        unrouted_results = [unrouted.execute(query) for query in queries]
-        unrouted_best = min(unrouted_best, wall_clock() - start)
-        routed_docs = sum(r.documents_examined for r in routed_results)
-        unrouted_docs = sum(r.documents_examined for r in unrouted_results)
-        identical = identical and all(
-            a.result_count == b.result_count
-            for a, b in zip(routed_results, unrouted_results))
-    return routed_best, unrouted_best, routed_docs, unrouted_docs, identical
+        database, optimizer=Optimizer(database, use_collection_costing=False))
+    routed_results = [routed.execute(query) for query in queries]
+    unrouted_results = [unrouted.execute(query) for query in queries]
+    return (sum(r.documents_examined for r in routed_results),
+            sum(r.documents_examined for r in unrouted_results),
+            all(a.result_count == b.result_count
+                for a, b in zip(routed_results, unrouted_results)))
 
 
 def compare_routing_modes(scale: float = 0.25, seed: int = 42,
@@ -221,8 +196,8 @@ def compare_routing_modes(scale: float = 0.25, seed: int = 42,
     xmark_queries = [query for query in
                      normalize_workload(xmark_query_workload())
                      if not query.is_update]
-    (routed_seconds, unrouted_seconds, routed_docs, unrouted_docs,
-     identical_results) = _measure_scans(database, xmark_queries)
+    routed_docs, unrouted_docs, identical_results = _compare_scans(
+        database, xmark_queries)
 
     # --- what-if re-costing after a single-collection document add ----
     queries = [query for query in normalize_workload(combined_workload())
@@ -290,8 +265,6 @@ def compare_routing_modes(scale: float = 0.25, seed: int = 42,
     return RoutingComparison(
         xmark_documents=xmark_documents,
         ballast_documents=ballast_documents,
-        routed_seconds=routed_seconds,
-        unrouted_seconds=unrouted_seconds,
         routed_documents_examined=routed_docs,
         unrouted_documents_examined=unrouted_docs,
         identical_results=identical_results,

@@ -5,8 +5,8 @@ benchmark entry in ``tools/bench_record.py`` and the tier-1
 ``bench_smoke`` guard, so the protocol cannot silently diverge between
 the guard and the recorded numbers.
 
-Protocol: the co-resident XMark+TPoX database runs the predicate-heavy
-E14 workload through two executors sharing the database:
+Protocol: the co-resident XMark+TPoX database runs a predicate-heavy
+workload through two executors sharing the database:
 
 * the **untraced** executor (``trace=False``) runs with the metrics
   registry armed (counters are never optional) but builds no span
@@ -26,13 +26,52 @@ number ``REPRO_SMOKE_MAX_TELEMETRY_OVERHEAD`` gates in CI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.executor.executor import QueryExecutor
 from repro.telemetry import wall_clock
 from repro.tools.routing_compare import build_coresident_database
-from repro.tools.vectorized_compare import predicate_workload
 from repro.xquery.model import NormalizedQuery
+from repro.xquery.normalizer import normalize_statement
+
+#: The predicate-heavy workload: every statement carries at least one
+#: value comparison (equality and range, element text and attributes,
+#: float and string literals, plus conjunctions), spread over the XMark
+#: collection and all three TPoX collections.
+PREDICATE_QUERIES: Tuple[str, ...] = (
+    # XMark: numeric ranges over items, auctions and people.
+    'for $i in doc("x")/site/regions/africa/item '
+    'where $i/quantity > 7 return $i/name',
+    'for $i in doc("x")/site/regions/namerica/item '
+    'where $i/price >= 350 return $i/name',
+    'for $i in doc("x")/site/regions/africa/item '
+    'where $i/payment = "Creditcard" return $i/name',
+    'for $p in doc("x")/site/people/person '
+    'where $p/profile/@income > 200000 return $p/name',
+    'for $p in doc("x")/site/people/person '
+    'where $p/profile/age >= 80 return $p/name',
+    'for $p in doc("x")/site/people/person '
+    'where $p/address/city = "Cairo" return $p/name',
+    'for $a in doc("x")/site/open_auctions/auction '
+    'where $a/current > 250 return $a/itemref',
+    'for $c in doc("x")/site/closed_auctions/auction '
+    'where $c/price >= 400 return $c/price',
+    'for $i in doc("x")/site/regions/africa/item '
+    'where $i/quantity > 5 and $i/payment = "Creditcard" return $i/name',
+    # TPoX: orders, securities and customer accounts.
+    'for $o in doc("order.xml")/FIXML/Order '
+    'where $o/OrdQty/@Qty > 4500 return $o/Instrmt',
+    'for $s in doc("security.xml")/Security '
+    'where $s/Price/LastTrade > 800 return $s/Symbol',
+    'for $s in doc("security.xml")/Security '
+    'where $s/Sector = "Technology" and $s/SecurityInformation/Yield > 7 '
+    'return $s/Name',
+    'for $c in doc("custacc.xml")/Customer '
+    'where $c/Accounts/Account/@balance > 1800000 return $c/Name/LastName',
+    'for $c in doc("custacc.xml")/Customer '
+    'where $c/CountryOfResidence = "DE" and $c/PremiumCustomer = "true" '
+    'return $c/Name/LastName',
+)
 
 
 @dataclass
@@ -57,6 +96,11 @@ class TelemetryComparison:
     def overhead_ratio(self) -> float:
         """Wall-clock cost of tracing (lower is better; 1.0 = free)."""
         return self.traced_seconds / max(self.untraced_seconds, 1e-9)
+
+
+def predicate_workload() -> List[NormalizedQuery]:
+    """The normalized predicate-heavy query list."""
+    return [normalize_statement(text) for text in PREDICATE_QUERIES]
 
 
 def _run_queries(executor: QueryExecutor,

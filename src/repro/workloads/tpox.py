@@ -56,17 +56,11 @@ class TpoxConfig:
 # Data generation
 # ----------------------------------------------------------------------
 def generate_tpox_database(config: Optional[TpoxConfig] = None,
-                           database_name: str = "tpox",
-                           use_incremental_maintenance: bool = True) -> XmlDatabase:
-    """Generate the three TPoX-style collections: order, security, custacc.
-
-    ``use_incremental_maintenance`` is forwarded to the database; the
-    maintenance benchmarks build a full-rebuild twin with ``False``.
-    """
+                           database_name: str = "tpox") -> XmlDatabase:
+    """Generate the three TPoX-style collections: order, security, custacc."""
     config = config or TpoxConfig()
     rng = random.Random(config.seed)
-    database = XmlDatabase(database_name,
-                           use_incremental_maintenance=use_incremental_maintenance)
+    database = XmlDatabase(database_name)
 
     orders = database.create_collection("order")
     symbols = [f"SYM{i:04d}" for i in range(config.security_count())]

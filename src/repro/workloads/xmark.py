@@ -87,17 +87,11 @@ class XMarkConfig:
 # Data generation
 # ----------------------------------------------------------------------
 def generate_xmark_database(config: Optional[XMarkConfig] = None,
-                            database_name: str = "xmark",
-                            use_incremental_maintenance: bool = True) -> XmlDatabase:
-    """Generate an XMark-style database with a single ``xmark`` collection.
-
-    ``use_incremental_maintenance`` is forwarded to the database; the
-    maintenance benchmarks build a full-rebuild twin with ``False``.
-    """
+                            database_name: str = "xmark") -> XmlDatabase:
+    """Generate an XMark-style database with a single ``xmark`` collection."""
     config = config or XMarkConfig()
     rng = random.Random(config.seed)
-    database = XmlDatabase(database_name,
-                           use_incremental_maintenance=use_incremental_maintenance)
+    database = XmlDatabase(database_name)
     collection = database.create_collection("xmark")
     for doc_index in range(config.document_count()):
         collection.add_document(_generate_site_document(rng, config, doc_index))

@@ -149,22 +149,6 @@ class CompiledXPath:
                      if evaluator.passes_predicates(node, self.residual_predicates)]
         return nodes
 
-    def has_match(self, summary, document: DocumentNode,
-                  evaluator: Optional[XPathEvaluator] = None,
-                  columnar=None) -> bool:
-        """Existence test: does this expression select any node?
-
-        The residual scan's document-qualification check only needs a
-        boolean, so a columnar-backed bare spine (no ``text()`` tail, no
-        residual predicates) answers from the store's postings with an
-        early exit instead of materializing the node list.
-        """
-        if (columnar is not None and self.columnar_pattern is not None
-                and not self.text_tail and not self.residual_predicates):
-            return columnar.has_match(self.columnar_pattern, document.doc_id)
-        return bool(self.select_nodes(summary, document, evaluator,
-                                      columnar=columnar))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = (f"summary pattern={self.pattern.to_text()!r}" if self.pattern
                 else f"fallback ({self.fallback_reason})")

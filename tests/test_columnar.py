@@ -8,12 +8,13 @@ Four contracts are covered:
 * **maintenance** -- delta-maintained stores byte-identical to full
   rebuilds across randomized interleaved adds/removes (the
   ``PhysicalPathIndex.apply_collection_delta`` contract);
-* **equivalence** -- the ``use_columnar`` escape hatch: identical
-  results, extraction streams, index structures, and advisor
-  recommendations with the columnar engine on and off, with zero
-  interpretive spine fallbacks on the columnar path (descendant-heavy
-  ``//`` queries included), and the PR 8 routing-shrink regression on a
-  co-resident XMark+TPoX database;
+* **equivalence** -- identical results and extraction streams from the
+  columnar engine and the per-document summary path a degraded store
+  falls back to (``use_columnar=False``), index structures equal to an
+  interpreter walk of the documents, with zero interpretive spine
+  fallbacks on the columnar path (descendant-heavy ``//`` queries
+  included), and the PR 8 routing-shrink regression on a co-resident
+  XMark+TPoX database;
 * **sizing** -- ``ColumnarStore.nbytes`` equal to the statistics-derived
   ``DatabaseStatistics.columnar_bytes`` (what the advisor's size
   reports and the tuning controller's build budget consult).
@@ -61,6 +62,7 @@ from repro.workloads.xmark import (
     generate_xmark_database,
     xmark_query_workload,
 )
+from repro.xmldb.nodes import normalized_node_value
 from repro.xmldb.serializer import serialize
 from repro.xpath.compiler import compile_xpath, pattern_summary_safe
 from repro.xpath.evaluator import XPathEvaluator
@@ -269,13 +271,6 @@ class TestExecutorEquivalence:
         assert_counter_parity(columnar, EXECUTOR_COUNTERS)
         assert_counter_parity(legacy, EXECUTOR_COUNTERS)
 
-    def test_env_switch_controls_default(self, monkeypatch):
-        database = build_varied_database(documents=2, name="col-env")
-        monkeypatch.setenv("REPRO_USE_COLUMNAR", "0")
-        assert QueryExecutor(database).use_columnar is False
-        monkeypatch.delenv("REPRO_USE_COLUMNAR")
-        assert QueryExecutor(database).use_columnar is True
-
     def test_legacy_interpretive_mode_stays_interpretive(self):
         # ``use_path_summary=False`` benchmarks the object-tree path;
         # the columnar engine must not silently activate under it.
@@ -286,6 +281,9 @@ class TestExecutorEquivalence:
         assert result.result_count == 1
 
     def test_index_builds_byte_identical(self):
+        # Oracle: the interpreter's node set per document (these
+        # patterns are summary-safe, so evaluator and strict index
+        # semantics coincide), keyed by the node's normalized value.
         database = _coresident_database()
         for text, value_type in [("//item/payment", ValueType.VARCHAR),
                                  ("/site/regions/*/item/quantity",
@@ -293,11 +291,24 @@ class TestExecutorEquivalence:
                                  ("/site/people/person/@id", ValueType.VARCHAR),
                                  ("/FIXML/Order/@ID", ValueType.VARCHAR)]:
             definition = IndexDefinition.create(text, value_type).as_physical()
-            fast = build_physical_index(definition, database, use_columnar=True)
-            slow = build_physical_index(definition, database,
-                                        use_columnar=False)
-            assert fast.scan() == slow.scan(), text
-            assert fast.size_bytes == slow.size_bytes
+            built = build_physical_index(definition, database)
+            expected = []
+            for collection in database.collections:
+                for document in collection:
+                    for node in _interpreter_nodes(document, text):
+                        key = normalized_node_value(node)
+                        if value_type is ValueType.DOUBLE:
+                            try:
+                                key = float(key)
+                            except ValueError:
+                                continue
+                        expected.append((key, collection.name,
+                                         document.doc_id, node.node_id))
+            assert expected, text
+            assert sorted((e.key, e.collection, e.doc_id, e.node_id)
+                          for e in built.scan()) == sorted(expected), text
+            keys = [e.key for e in built.scan()]
+            assert keys == sorted(keys)
 
     def test_routing_shrinks_for_unsafe_queries(self):
         # The PR 8 regression: summary-unsafe ``//`` reads used to route
@@ -387,21 +398,28 @@ class TestExecutorEquivalence:
 class TestDegradedMode:
     def test_persistent_publish_fault_degrades_to_interpreter(self):
         database = build_varied_database(documents=6, name="col-fault")
-        legacy = QueryExecutor(database, use_columnar=False)
-        clean = legacy.execute("/site//*").result_count
-        # The legacy run published the summary and statistics snapshots;
-        # the columnar build is now the next ``snapshot.publish`` hit.
-        executor = QueryExecutor(database, use_columnar=True)
+        interpreter = QueryExecutor(database, use_path_summary=False)
+        clean = interpreter.execute("/site//*", extract_values=True)
+        # Planning the reference run published the summary and statistics
+        # snapshots; the columnar build is now the next
+        # ``snapshot.publish`` hit.
+        executor = QueryExecutor(database)
         with inject(FaultPlan.fail_hit("snapshot.publish", hit=1)):
-            degraded = executor.execute("/site//*")
-        assert degraded.result_count == clean
+            degraded = executor.execute("/site//*", extract_values=True,
+                                        trace=True)
+        assert degraded.result_count == clean.result_count
+        assert degraded.extracted_values == clean.extracted_values
         assert any("columnar store" in event
                    for event in executor.fallback_events)
         assert executor.interpretive_spine_fallbacks > 0
+        # The span says what ran: the summary path, not the store.
+        assert degraded.trace.find("scan").attrs["engines"] == ["summary"]
         # The fault was not published into the cache: the next execution
         # rebuilds the store and runs columnar again.
-        after = executor.execute("/site//*")
-        assert after.result_count == clean
+        after = executor.execute("/site//*", extract_values=True, trace=True)
+        assert after.result_count == clean.result_count
+        assert after.extracted_values == clean.extracted_values
+        assert after.trace.find("scan").attrs["engines"] == ["columnar"]
 
     def test_smoke_plan_is_invisible(self):
         # Two deterministic clones: the reference run would otherwise
@@ -412,9 +430,8 @@ class TestDegradedMode:
                     for text in SPINES[:6]]
         noisy = QueryExecutor(
             build_varied_database(documents=6, name="col-smoke-b"))
-        # Period 2 so the plan fires in both hatch modes: with the
-        # columnar engine off only the summary and merged-statistics
-        # publications consult the seam before the queries run.
+        # Period 2 so the plan fires: only a handful of publications
+        # consult the seam before the queries run.
         with inject(FaultPlan.smoke(period=2)) as injector:
             got = [(noisy.execute(text).result_count) for text in SPINES[:6]]
         assert got == expected
@@ -425,8 +442,7 @@ class TestFrozenSubprocess:
     def _run(self, extra_env):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS])
-        env["REPRO_USE_COLUMNAR"] = "1"  # assert columnar even under the
-        env.update(extra_env)            # hatch-off CI matrix job
+        env.update(extra_env)
         snippet = """
             from _support import build_varied_database
             from repro.executor.executor import QueryExecutor

@@ -153,8 +153,7 @@ class TestRelevanceMap:
 
     def test_relevance_map_survives_data_signature_change(self):
         """Relevance is pattern containment only -- data changes must not
-        drop it under fine-grained maintenance; the legacy escape hatch
-        keeps the PR 2 behaviour of rebuilding it from scratch."""
+        drop it."""
         database = build_varied_database(documents=12, name="invalidate")
         queries = normalize_workload(_mixed_workload())
         evaluator = ConfigurationEvaluator(database, queries)
@@ -176,15 +175,6 @@ class TestRelevanceMap:
         # maintenance against the tiny post-change database).
         result = evaluator.evaluate([index])
         assert len(result.query_evaluations) == len(queries)
-
-        legacy = ConfigurationEvaluator(
-            database, queries,
-            AdvisorParameters(use_incremental_maintenance=False))
-        legacy.relevant_queries(index)
-        assert legacy.relevance_map
-        database.collection("site").add_document(TINY_SITE_XML)
-        assert legacy.refresh()
-        assert legacy.relevance_map == {}  # dropped, repopulated lazily
 
     def test_update_discards_stale_base_rows_after_data_change(self):
         """A delta update against a base computed before a data change

@@ -1,13 +1,12 @@
 """Delta-propagation maintenance: equivalence and invalidation tests.
 
 The core contract of :mod:`repro.storage.maintenance` is *byte
-identity*: a collection whose derived state (path summary, statistics
-synopsis, physical index entries) is maintained through per-document
-deltas must be indistinguishable from one that tears everything down
-and rebuilds on every change, for any interleaving of document adds and
-removes.  The randomized tests drive both modes through identical
-seeded op sequences on XMark/TPoX fragments and compare after every
-operation.
+identity*: a collection whose derived state (path summary, columnar
+store, statistics synopsis, physical index entries) is maintained
+through per-document deltas must be indistinguishable from a database
+built from scratch out of its current documents, for any interleaving
+of document adds and removes.  The randomized tests drive seeded op
+sequences on XMark/TPoX fragments and rebuild after every operation.
 
 The second half covers the invalidation layers above storage: the
 executor's delta catch-up of materialized indexes (with the catalog's
@@ -28,6 +27,7 @@ from _support import (
     assert_counter_parity,
     build_varied_database,
 )
+from repro.advisor.advisor import XmlIndexAdvisor
 from repro.advisor.benefit import ConfigurationEvaluator
 from repro.advisor.config import AdvisorParameters
 from repro.executor.executor import QueryExecutor
@@ -51,26 +51,27 @@ from repro.xquery.model import ValueType, Workload
 from repro.xquery.normalizer import normalize_workload
 
 
-def _clone_documents(database: XmlDatabase, twin_name: str,
-                     use_incremental_maintenance: bool) -> XmlDatabase:
-    """A twin database with byte-identical trees (re-parsed from the
-    serialized documents) in the other maintenance mode."""
+def _rebuilt(database: XmlDatabase) -> XmlDatabase:
+    """The oracle: a database built from scratch out of ``database``'s
+    current documents (re-parsed from their serialized text).  Nothing
+    in it has ever seen a delta -- its derived state is built lazily
+    after the last add."""
     from repro.xmldb.serializer import serialize
 
-    twin = XmlDatabase(
-        twin_name, use_incremental_maintenance=use_incremental_maintenance)
+    fresh = XmlDatabase(database.name + "-rebuilt")
     for collection in database.collections:
-        twin_collection = twin.create_collection(collection.name)
-        for document in collection:
-            twin_collection.add_document(serialize(document))
-    return twin
+        fresh.create_collection(collection.name).add_documents(
+            serialize(document) for document in collection)
+    return fresh
 
 
-def _assert_equivalent(incremental: XmlCollection,
+def _assert_equivalent(maintained: XmlCollection,
                        rebuilt: XmlCollection) -> None:
-    assert incremental.path_summary.canonical_state() \
+    assert maintained.path_summary.canonical_state() \
         == rebuilt.path_summary.canonical_state()
-    assert incremental.statistics == rebuilt.statistics
+    assert maintained.columnar_store.canonical_state() \
+        == rebuilt.columnar_store.canonical_state()
+    assert maintained.statistics == rebuilt.statistics
 
 
 class TestDocumentDelta:
@@ -157,8 +158,9 @@ class TestSummaryDelta:
         assert (stat.min_value, stat.max_value) == (40.0, 40.0)
 
     def test_accumulator_from_summary_roundtrip(self):
-        collection = XmlCollection("c", use_incremental_maintenance=False)
+        collection = XmlCollection("c")
         collection.add_document(TINY_SITE_XML)
+        assert collection.statistics.document_count == 1  # prime the accumulator
         collection.add_document("<site><people><person id='p9'/></people></site>")
         accumulator = StatisticsAccumulator.from_summary(collection.path_summary)
         assert accumulator.snapshot() == collection.statistics
@@ -166,9 +168,10 @@ class TestSummaryDelta:
 
 @pytest.mark.parametrize("workload_kind", ["xmark", "tpox"])
 def test_randomized_interleaved_equivalence(workload_kind):
-    """Interleaved add/remove sequences must keep the incrementally
-    maintained summary, statistics and index entries byte-identical to
-    the full-rebuild escape hatch, checked after *every* operation."""
+    """Interleaved add/remove sequences must keep the delta-maintained
+    summary, store, statistics and index entries byte-identical to a
+    database rebuilt from the live documents, checked after *every*
+    operation."""
     if workload_kind == "xmark":
         base = generate_xmark_database(XMarkConfig(scale=0.02, seed=11), "maint")
         donor = generate_xmark_database(XMarkConfig(scale=0.03, seed=77), "donor")
@@ -184,47 +187,46 @@ def test_randomized_interleaved_equivalence(workload_kind):
         index_defs = [
             IndexDefinition.create("//Order/@ID", ValueType.VARCHAR),
         ]
-    twin = _clone_documents(base, "maint-rebuild", use_incremental_maintenance=False)
-    assert base.use_incremental_maintenance
     reserve = donor.collection(collection_name).documents
 
     from repro.xmldb.serializer import serialize
 
-    incremental = base.collection(collection_name)
-    rebuilt = twin.collection(collection_name)
+    maintained = base.collection(collection_name)
     # Prime derived state so adds/removes go through the delta path.
-    _assert_equivalent(incremental, rebuilt)
+    _assert_equivalent(maintained, _rebuilt(base).collection(collection_name))
     indexes = [build_physical_index(d, base) for d in index_defs]
 
     rng = random.Random(1234)
     for step in range(14):
-        if reserve and (len(incremental) < 2 or rng.random() < 0.6):
-            document = reserve.pop()
-            xml = serialize(document)
-            incremental.add_document(xml)
-            rebuilt.add_document(xml)
+        if reserve and (len(maintained) < 2 or rng.random() < 0.6):
+            maintained.add_document(serialize(reserve.pop()))
         else:
-            victim = rng.randrange(len(incremental))
-            incremental.remove_document(victim)
-            rebuilt.remove_document(victim)
-        for delta in incremental.deltas_since(incremental.version - 1):
+            maintained.remove_document(rng.randrange(len(maintained)))
+        for delta in maintained.deltas_since(maintained.version - 1):
             for index in indexes:
                 index.apply_collection_delta(delta)
-        _assert_equivalent(incremental, rebuilt)
+        fresh = _rebuilt(base)
+        _assert_equivalent(maintained, fresh.collection(collection_name))
         for definition, index in zip(index_defs, indexes):
-            assert index.entries == build_physical_index(definition, twin).entries, \
+            assert index.entries == build_physical_index(definition, fresh).entries, \
                 f"index diverged at step {step}"
-    assert base.statistics == twin.statistics
+        assert base.statistics == fresh.statistics
 
 
 def test_randomized_advisor_equivalence_across_changes():
-    """After a random change sequence, a long-lived fine-grained
-    evaluator must produce byte-identical benefits to a fresh legacy
-    evaluator over the rebuilt twin."""
+    """Through a random change sequence, a long-lived evaluator and a
+    long-lived advisor must produce, after every step, byte-identical
+    benefits and recommendations to ones constructed fresh (full
+    re-evaluation, empty caches) over a database rebuilt from the live
+    documents."""
     base = generate_xmark_database(XMarkConfig(scale=0.02, seed=5), "adv")
     donor = generate_xmark_database(XMarkConfig(scale=0.03, seed=55), "adv-donor")
-    queries = normalize_workload(xmark_query_workload(name="maint-adv"))
-    evaluator = ConfigurationEvaluator(base, queries)  # fine-grained default
+    workload = xmark_query_workload(name="maint-adv")
+    queries = normalize_workload(workload)
+    evaluator = ConfigurationEvaluator(base, queries)
+    budget = AdvisorParameters(disk_budget_bytes=48 * 1024.0)
+    advisor = XmlIndexAdvisor(base, budget)
+    assert advisor.recommend(workload).configuration.definitions
     configuration = IndexConfiguration([
         IndexDefinition.create("/site/people/person/@id", ValueType.VARCHAR),
         IndexDefinition.create("/site/regions/*/item/quantity", ValueType.DOUBLE),
@@ -242,19 +244,25 @@ def test_randomized_advisor_equivalence_across_changes():
         if len(collection) > 3 and rng.random() < 0.4:
             collection.remove_document(rng.randrange(len(collection)))
 
-    twin = _clone_documents(base, "adv-rebuild", use_incremental_maintenance=False)
-    fresh = ConfigurationEvaluator(
-        twin, queries, AdvisorParameters(use_incremental_maintenance=False,
-                                         use_incremental=False))
-    maintained = evaluator.evaluate(configuration)  # auto-refreshes
-    reference = fresh.evaluate(configuration)
-    assert maintained.total_benefit == reference.total_benefit
-    assert maintained.total_size_bytes == reference.total_size_bytes
-    by_id = {row.query_id: row for row in reference.query_evaluations}
-    for row in maintained.query_evaluations:
-        assert row.cost_without_indexes == by_id[row.query_id].cost_without_indexes
-        assert row.cost_with_configuration == by_id[row.query_id].cost_with_configuration
-        assert row.used_index_keys == by_id[row.query_id].used_index_keys
+        rebuilt = _rebuilt(base)
+        fresh = ConfigurationEvaluator(
+            rebuilt, queries, AdvisorParameters(use_incremental=False))
+        maintained = evaluator.evaluate(configuration)  # auto-refreshes
+        reference = fresh.evaluate(configuration)
+        assert maintained.total_benefit == reference.total_benefit
+        assert maintained.total_size_bytes == reference.total_size_bytes
+        by_id = {row.query_id: row for row in reference.query_evaluations}
+        for row in maintained.query_evaluations:
+            assert row.cost_without_indexes == by_id[row.query_id].cost_without_indexes
+            assert row.cost_with_configuration == by_id[row.query_id].cost_with_configuration
+            assert row.used_index_keys == by_id[row.query_id].used_index_keys
+
+        cached = advisor.recommend(workload)
+        scratch = XmlIndexAdvisor(rebuilt, budget).recommend(workload)
+        assert [d.key for d in cached.configuration] \
+            == [d.key for d in scratch.configuration]
+        assert cached.total_benefit == scratch.total_benefit
+        assert cached.total_size_bytes == scratch.total_size_bytes
 
 
 class TestExecutorMaintenance:
@@ -272,19 +280,24 @@ class TestExecutorMaintenance:
         executor.execute(query)
         database.collection("site").add_document(TINY_SITE_XML)
         database.collection("site").remove_document(2)
-        result = executor.execute(query)
+        result = executor.execute(query, extract_values=True)
         assert executor.index_rebuilds == 0
         assert executor.index_delta_maintenances == 1
         # The maintained structure equals a from-scratch build.
         maintained = executor._indexes[definition.key]
         assert maintained.entries == build_physical_index(definition, database).entries
-        # And the executor agrees with a fresh legacy executor.
-        legacy = QueryExecutor(database, use_incremental_maintenance=False)
-        legacy.create_indexes([definition])
-        assert legacy.execute(query).result_count == result.result_count
+        # And the long-lived executor agrees with one constructed after
+        # the writes (its index is a from-scratch build).
+        fresh = QueryExecutor(database)
+        fresh.create_indexes([definition])
+        reference = fresh.execute(query, extract_values=True)
+        assert reference.used_index_plan and result.used_index_plan
+        assert (fresh.index_rebuilds, fresh.index_delta_maintenances) == (0, 0)
+        assert (result.result_count, result.extracted_values) \
+            == (reference.result_count, reference.extracted_values)
         # PR 10: maintenance counters are registry-backed views now.
         assert_counter_parity(executor, EXECUTOR_COUNTERS)
-        assert_counter_parity(legacy, EXECUTOR_COUNTERS)
+        assert_counter_parity(fresh, EXECUTOR_COUNTERS)
 
     def test_catalog_tracks_staleness(self):
         database, executor, definition = self._database_with_executor()
@@ -302,17 +315,6 @@ class TestExecutorMaintenance:
         database, executor, definition = self._database_with_executor()
         executor.execute("/site/regions/*/item[quantity > 90]")
         database.collection("site").invalidate_statistics()  # breaks the journal
-        executor.execute("/site/regions/*/item[quantity > 90]")
-        assert executor.index_rebuilds == 1
-        assert executor.index_delta_maintenances == 0
-
-    def test_legacy_flag_always_rebuilds(self):
-        database = build_varied_database(documents=12, name="exec-legacy")
-        executor = QueryExecutor(database, use_incremental_maintenance=False)
-        definition = IndexDefinition.create("/site/regions/*/item/quantity",
-                                            ValueType.DOUBLE)
-        executor.create_indexes([definition])
-        database.collection("site").add_document(TINY_SITE_XML)
         executor.execute("/site/regions/*/item[quantity > 90]")
         assert executor.index_rebuilds == 1
         assert executor.index_delta_maintenances == 0
@@ -424,7 +426,7 @@ class TestFineGrainedInvalidation:
     def test_runstats_churn_preserves_evaluator_state(self):
         """invalidate_statistics bumps every version but recollects an
         identical synopsis: fine-grained invalidation must keep every
-        cached row, the legacy mode drops them all."""
+        cached row."""
         database = build_varied_database(documents=12, name="fg-runstats")
         queries = self._workload()
         evaluator = ConfigurationEvaluator(database, queries)
@@ -455,7 +457,7 @@ class TestFineGrainedInvalidation:
 
     def test_document_add_recosts_everything_exactly(self):
         """Aggregates moved: the guard must re-cost all queries -- and
-        the result must equal a from-scratch legacy evaluator."""
+        the result must equal a freshly constructed evaluator's."""
         database = build_varied_database(documents=12, name="fg-add")
         queries = self._workload()
         evaluator = ConfigurationEvaluator(database, queries)
@@ -466,9 +468,7 @@ class TestFineGrainedInvalidation:
         database.collection("site").add_document(TINY_SITE_XML)
         maintained = evaluator.evaluate(configuration)
         reference = ConfigurationEvaluator(
-            database, queries,
-            AdvisorParameters(use_incremental_maintenance=False)
-        ).evaluate(configuration)
+            database, queries).evaluate(configuration)
         assert maintained.total_benefit == reference.total_benefit
         rows = {r.query_id: r for r in reference.query_evaluations}
         for row in maintained.query_evaluations:
@@ -517,9 +517,7 @@ class TestFineGrainedInvalidation:
         delta = evaluator.update(base)
         assert evaluator._last_stale == frozenset({"w-q1"})
         reference = ConfigurationEvaluator(
-            database, queries,
-            AdvisorParameters(use_incremental=False,
-                              use_incremental_maintenance=False)
+            database, queries, AdvisorParameters(use_incremental=False)
         ).evaluate(base.configuration)
         # The scenario is meaningful: the pre-change row is wrong now.
         assert base.query_evaluations[0].cost_with_configuration \
@@ -541,9 +539,7 @@ class TestFineGrainedInvalidation:
         delta = evaluator.update(base, add=[index])
         assert evaluator.delta_evaluations == 1  # not forced to full
         full = ConfigurationEvaluator(
-            database, queries,
-            AdvisorParameters(use_incremental_maintenance=False)
-        ).evaluate(IndexConfiguration([index]))
+            database, queries).evaluate(IndexConfiguration([index]))
         assert delta.total_benefit == pytest.approx(full.total_benefit)
 
 

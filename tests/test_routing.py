@@ -220,17 +220,6 @@ class TestExecutorRouting:
         assert result.documents_examined == len(database.collection("xmark"))
         assert executor.documents_routed_out > 0
 
-    def test_routing_escape_hatch_walks_everything(self):
-        database = _coresident_database()
-        executor = QueryExecutor(
-            database,
-            optimizer=Optimizer(database, use_collection_costing=False),
-            use_collection_routing=False)
-        result = executor.execute("/site/people/person[name = 'Alice']")
-        assert result.documents_examined == \
-            sum(len(c) for c in database.collections)
-        assert executor.documents_routed_out == 0
-
     def test_index_plan_residual_checks_respect_routing(self):
         # A //-general index covers paths in several collections; the
         # candidate documents outside the query's routing set must be
@@ -245,8 +234,7 @@ class TestExecutorRouting:
         result = executor.execute(query)
         legacy = QueryExecutor(
             database,
-            optimizer=Optimizer(database, use_collection_costing=False),
-            use_collection_routing=False)
+            optimizer=Optimizer(database, use_collection_costing=False))
         legacy.create_indexes([definition])
         assert result.result_count == legacy.execute(query).result_count
         if plan.uses_indexes:
@@ -379,9 +367,10 @@ class TestRoutedInvalidation:
 @pytest.mark.parametrize("seed", [7, 21])
 def test_randomized_multi_collection_equivalence(seed):
     """Randomized interleaved adds/removes across co-resident
-    collections: routing on vs. off must return identical results after
-    every operation, and the long-lived routed evaluator must stay
-    byte-identical to a fresh one at the end."""
+    collections: routed plans and the unrouted plans of the global cost
+    model (``routing=None``: every collection is walked) must return
+    identical results after every operation, and the long-lived routed
+    evaluator must stay byte-identical to a fresh one at the end."""
     database = _coresident_database(xmark_scale=0.02, tpox_scale=0.03,
                                     seed=seed, name=f"rand-{seed}")
     donors = {
@@ -398,8 +387,7 @@ def test_randomized_multi_collection_equivalence(seed):
     queries = _combined_queries()
     routed_executor = QueryExecutor(database)
     unrouted_executor = QueryExecutor(
-        database, optimizer=Optimizer(database, use_collection_costing=False),
-        use_collection_routing=False)
+        database, optimizer=Optimizer(database, use_collection_costing=False))
     evaluator = ConfigurationEvaluator(database, queries)
     configuration = IndexConfiguration([
         IndexDefinition.create("/site/people/person/@id", ValueType.VARCHAR),
@@ -422,6 +410,10 @@ def test_randomized_multi_collection_equivalence(seed):
             a = routed_executor.execute(query)
             b = unrouted_executor.execute(query)
             assert a.result_count == b.result_count, (step, query.query_id)
+            assert b.documents_examined == sum(
+                len(c) for c in database.collections)
+    assert unrouted_executor.documents_routed_out == 0
+    assert routed_executor.documents_routed_out > 0
 
     maintained = evaluator.evaluate(configuration)
     reference = ConfigurationEvaluator(database, queries).evaluate(configuration)

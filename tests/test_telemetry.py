@@ -384,6 +384,26 @@ class TestExecutorTracing:
         assert probe.attrs["entries_scanned"] == result.index_entries_scanned
         assert result.trace.find("residual") is not None
 
+    @pytest.mark.parametrize("keywords, engine, materializes", [
+        ({}, "columnar", False),
+        ({"use_columnar": False}, "summary", True),
+        ({"use_path_summary": False}, "interpreter", True),
+    ])
+    def test_spans_report_the_engine_that_ran(self, varied_database, keywords,
+                                              engine, materializes):
+        executor = QueryExecutor(varied_database, **keywords)
+        scan = executor.execute(SELECTIVE, trace=True).trace.find("scan")
+        assert scan.attrs["engines"] == [engine]
+        assert "vectorized" not in scan.attrs
+        assert (executor.scan_node_materializations > 0) == materializes
+        executor.create_indexes([ID_INDEX])
+        try:
+            result = executor.execute(SELECTIVE, trace=True)
+            assert result.used_index_plan
+            assert result.trace.find("residual").attrs["engines"] == [engine]
+        finally:
+            executor.drop_all_indexes()
+
     def test_extract_span_counts_value_stream(self, executor):
         result = executor.execute(EXTRACTING, trace=True, extract_values=True)
         extract = result.trace.find("extract")

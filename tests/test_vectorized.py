@@ -1,20 +1,20 @@
-"""Equivalence tests for the vectorized predicate engine (PR 9).
+"""Equivalence tests for the set-at-a-time predicate engine (PR 9).
 
-The set-at-a-time engine answers value predicates with two bisects over
-each path's value-sorted projection (`ColumnarStore.match_positions` /
+The engine answers value predicates with two bisects over each path's
+value-sorted projection (`ColumnarStore.match_positions` /
 `matching_documents`) and serves extraction values straight from the
-values column.  Every test here pins the same property: the vectorized
-path, the legacy object-hop path (``use_vectorized_predicates=False``)
-and the purely interpretive path (``use_path_summary=False``) return
-**byte-identical** matching documents, extracted node ids and extracted
-values -- across randomized mixed-type data (numeric-looking strings
-like ``"010"``, negatives, floats, empty values), every comparison
-operator, interleaved add/remove deltas, and under
-``REPRO_FREEZE_SNAPSHOTS=1``.
+values column.  Every test here pins the same property: the engine and
+the per-document summary path a degraded store falls back to
+(``use_columnar=False``) return the matching documents, extracted node
+ids and extracted values of the purely interpretive reference
+(``use_path_summary=False``), **byte for byte** -- across randomized
+mixed-type data (numeric-looking strings like ``"010"``, negatives,
+floats, empty values), every comparison operator, interleaved
+add/remove deltas, and under ``REPRO_FREEZE_SNAPSHOTS=1``.
 
 The ``scan_node_materializations`` counter is the structural guarantee:
-zero on the vectorized scan path (predicates and value extraction never
-left the columns), positive on every legacy path.
+zero on the engine's scan path (predicates and value extraction never
+left the columns), positive on the per-document paths.
 """
 
 from __future__ import annotations
@@ -94,6 +94,15 @@ def _predicate_statements() -> list:
     statements.append(
         'for $i in doc("x")/site/regions/africa/item '
         'where $i/@id != "i0_0" return $i/quantity')
+    # Conjunctions whose *later* predicates do the filtering: dropping
+    # one from the intersection changes the answer.
+    statements.append(
+        'for $i in doc("x")/site/regions/africa/item '
+        'where $i/quantity >= 0.0 and $i/price = "drum" return $i/name')
+    statements.append(
+        'for $i in doc("x")/site/regions/africa/item '
+        'where $i/name != "" and $i/quantity >= 0.0 and $i/price < 5.0 '
+        'return $i/@id')
     return statements
 
 
@@ -107,49 +116,46 @@ def _signature(executor: QueryExecutor, statement: str):
 
 
 def _three_executors(database: XmlDatabase):
-    # Hatches pinned explicitly (not inherited from the environment) so
-    # the three paths stay distinct under the hatch-off CI matrix jobs.
-    return (QueryExecutor(database, use_columnar=True,
-                          use_vectorized_predicates=True),
-            QueryExecutor(database, use_columnar=True,
-                          use_vectorized_predicates=False),
+    """The engine, the degraded (summary) path, the interpretive oracle."""
+    return (QueryExecutor(database),
+            QueryExecutor(database, use_columnar=False),
             QueryExecutor(database, use_path_summary=False))
 
 
 class TestEquivalence:
     def test_randomized_predicates_byte_identical(self):
         database = _mixed_database()
-        vectorized, hatch, interpretive = _three_executors(database)
+        engine, degraded, interpretive = _three_executors(database)
         for statement in _predicate_statements():
-            expected = _signature(hatch, statement)
-            assert _signature(vectorized, statement) == expected, statement
-            assert _signature(interpretive, statement) == expected, statement
+            expected = _signature(interpretive, statement)
+            assert _signature(engine, statement) == expected, statement
+            assert _signature(degraded, statement) == expected, statement
         # PR 10: the legacy counters became registry metrics -- parity
-        # must hold after a randomized workload on every hatch mode.
-        for executor in (vectorized, hatch, interpretive):
+        # must hold after a randomized workload on every path.
+        for executor in (engine, degraded, interpretive):
             assert_counter_parity(executor, EXECUTOR_COUNTERS)
 
     def test_navigation_only_queries(self):
         database = _mixed_database(seed=11, name="vec-nav")
-        vectorized, hatch, interpretive = _three_executors(database)
+        engine, degraded, interpretive = _three_executors(database)
         for statement in ("/site/regions/africa/item/name",
                           "/site//quantity",
                           "/site/regions/*/item/@id"):
-            expected = _signature(hatch, statement)
-            assert _signature(vectorized, statement) == expected, statement
-            assert _signature(interpretive, statement) == expected, statement
+            expected = _signature(interpretive, statement)
+            assert _signature(engine, statement) == expected, statement
+            assert _signature(degraded, statement) == expected, statement
 
     def test_equivalence_across_interleaved_deltas(self):
         database = _mixed_database(seed=13, name="vec-delta")
         collection = database.collection("site")
-        vectorized, hatch, interpretive = _three_executors(database)
+        engine, degraded, interpretive = _three_executors(database)
         statements = _predicate_statements()[::7]
         rng = random.Random(29)
         for round_number in range(4):
             for statement in statements:
-                expected = _signature(hatch, statement)
-                assert _signature(vectorized, statement) == expected, statement
-                assert _signature(interpretive, statement) == expected, statement
+                expected = _signature(interpretive, statement)
+                assert _signature(engine, statement) == expected, statement
+                assert _signature(degraded, statement) == expected, statement
             # Interleave an add and a remove (delta-maintained snapshots
             # carry untouched projections, rebuild touched ones).
             value = rng.choice(VALUE_POOL)
@@ -159,59 +165,46 @@ class TestEquivalence:
                 "</item></africa></regions></site>" % (round_number, value))
             collection.remove_document(rng.randrange(len(collection)))
 
-    def test_env_hatch_disables_vectorized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_USE_VECTORIZED", "0")
-        database = _mixed_database(documents=3, seed=3, name="vec-env")
-        executor = QueryExecutor(database)
-        assert executor.use_vectorized_predicates is False
-        executor.execute('for $i in doc("x")/site/regions/africa/item '
-                         'where $i/quantity > 3.0 return $i/name')
-        assert executor.scan_node_materializations > 0
-
 
 class TestNoMaterialization:
     def test_vectorized_value_scan_touches_no_nodes(self):
         database = build_varied_database(documents=20, name="vec-zero")
-        vectorized = QueryExecutor(database, use_columnar=True,
-                                   use_vectorized_predicates=True)
-        hatch = QueryExecutor(database, use_columnar=True,
-                              use_vectorized_predicates=False)
+        engine = QueryExecutor(database)
+        interpreter = QueryExecutor(database, use_path_summary=False)
         statement = ('for $i in doc("x")/site/regions/africa/item '
                      'where $i/quantity > 50.0 return $i/name')
-        vec_result = vectorized.execute(statement, extract_values=True)
-        hatch_result = hatch.execute(statement, extract_values=True)
-        assert vec_result.result_count == hatch_result.result_count
-        assert vec_result.extracted_values == hatch_result.extracted_values
-        assert vec_result.extracted_values  # non-degenerate workload
-        assert vectorized.scan_node_materializations == 0, (
-            "the vectorized scan path materialized XmlNode lists")
-        assert hatch.scan_node_materializations > 0
+        result = engine.execute(statement, extract_values=True)
+        expected = interpreter.execute(statement, extract_values=True)
+        assert result.result_count == expected.result_count
+        assert result.extracted_values == expected.extracted_values
+        assert result.extracted_values  # non-degenerate workload
+        assert engine.scan_node_materializations == 0, (
+            "the columnar scan path materialized XmlNode lists")
+        assert interpreter.scan_node_materializations > 0
 
     def test_index_plan_residuals_use_the_set_engine(self):
         from repro.index.definition import IndexDefinition
         from repro.xquery.model import ValueType
 
         database = build_varied_database(documents=40, name="vec-index")
-        vectorized = QueryExecutor(database, use_columnar=True,
-                                   use_vectorized_predicates=True)
-        hatch = QueryExecutor(database, use_columnar=True,
-                              use_vectorized_predicates=False)
+        engine = QueryExecutor(database)
+        interpreter = QueryExecutor(database, use_path_summary=False)
         statement = ('for $i in doc("x")/site/regions/africa/item '
                      'where $i/quantity > 90.0 return $i/name')
-        scan_expected = hatch.execute(statement, extract_values=True)
-        for executor in (vectorized, hatch):
+        scan_expected = interpreter.execute(statement, extract_values=True)
+        for executor in (engine, interpreter):
             executor.create_indexes([IndexDefinition.create(
                 "/site/regions/*/item/quantity", ValueType.DOUBLE)])
-        vectorized.scan_node_materializations = 0
-        vec_result = vectorized.execute(statement, extract_values=True)
-        hatch_result = hatch.execute(statement, extract_values=True)
-        assert vec_result.used_index_plan and hatch_result.used_index_plan
-        assert vec_result.result_count == scan_expected.result_count
-        assert vec_result.extracted_values == hatch_result.extracted_values
-        assert vec_result.extracted_values == scan_expected.extracted_values
-        assert vectorized.scan_node_materializations == 0
-        vectorized.drop_all_indexes()
-        hatch.drop_all_indexes()
+        engine.scan_node_materializations = 0
+        result = engine.execute(statement, extract_values=True)
+        expected = interpreter.execute(statement, extract_values=True)
+        assert result.used_index_plan and expected.used_index_plan
+        assert result.result_count == scan_expected.result_count
+        assert result.extracted_values == expected.extracted_values
+        assert result.extracted_values == scan_expected.extracted_values
+        assert engine.scan_node_materializations == 0
+        engine.drop_all_indexes()
+        interpreter.drop_all_indexes()
 
 
 def _reference_values_for_pattern(store, pattern, doc_id):
@@ -347,8 +340,6 @@ class TestFrozenSubprocess:
     def _run(self, extra_env):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS])
-        env["REPRO_USE_VECTORIZED"] = "1"  # assert vectorized even under
-        env["REPRO_USE_COLUMNAR"] = "1"    # the hatch-off CI matrix jobs
         env.update(extra_env)
         snippet = """
             from test_vectorized import (_mixed_database, _signature,
@@ -357,21 +348,21 @@ class TestFrozenSubprocess:
 
             database = _mixed_database(documents=8, name="vec-frozen")
             collection = database.collection("site")
-            vectorized = QueryExecutor(database)
-            hatch = QueryExecutor(database, use_vectorized_predicates=False)
+            engine = QueryExecutor(database)
+            interpreter = QueryExecutor(database, use_path_summary=False)
             statements = _predicate_statements()[::9]
             for statement in statements:
-                assert _signature(vectorized, statement) == \\
-                    _signature(hatch, statement), statement
+                assert _signature(engine, statement) == \\
+                    _signature(interpreter, statement), statement
             collection.add_document("<site><regions><africa><item id='z'>"
                                     "<quantity>010</quantity>"
                                     "<name>frozen</name>"
                                     "</item></africa></regions></site>")
             collection.remove_document(0)
             for statement in statements:
-                assert _signature(vectorized, statement) == \\
-                    _signature(hatch, statement), statement
-            print("VECTORIZED-OK", vectorized.scan_node_materializations)
+                assert _signature(engine, statement) == \\
+                    _signature(interpreter, statement), statement
+            print("VECTORIZED-OK", engine.scan_node_materializations)
         """
         return subprocess.run([sys.executable, "-c",
                                textwrap.dedent(snippet)],

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Record the advisor perf trajectory into a JSON file, one entry per PR.
 
-Runs two deterministic-workload timings at env-capped sizes and dumps
+Runs deterministic-workload comparisons at env-capped sizes and dumps
 the numbers to ``BENCH_advisor.json`` (override with ``--output``):
 
 * **E3 (advisor search)** -- the budget-sweep configuration search on
@@ -11,25 +11,11 @@ the numbers to ``BENCH_advisor.json`` (override with ``--output``):
 * **E5 (execution)** -- interpretive document scan vs the structural
   path-summary scan over the XMark query workload: wall time per mode
   and the speedup.
-* **E6 (maintenance)** -- incremental document add (summary +
-  statistics + one configured physical index maintained through deltas)
-  vs the full-rebuild path: wall time per mode, the speedup, and a
-  byte-identity flag.
-* **E7 (routing)** -- collection-scoped costing + structural routing on
-  the co-resident XMark+TPoX database vs the whole-database escape
-  hatch: routed-vs-unrouted scan wall time, what-if re-costings after a
-  single-collection document add (deterministic count), and the
+* **E7 (routing)** -- collection-scoped costing on the co-resident
+  XMark+TPoX database vs the whole-database cost model: what-if
+  re-costings after a single-collection document add (deterministic
+  count), documents examined by routed and unrouted scans, and the
   exactness flags (results, delta benefits, cached recommendations).
-* **E13 (columnar)** -- the columnar pre/post axis engine vs the
-  interpretive escape hatch (``use_columnar=False``) on the
-  descendant-heavy ``//`` workload: wall time per mode, the speedup,
-  result byte-identity, the interpretive-fallback counters (columnar
-  side must be zero), and the nbytes-vs-statistics sizing flag.
-* **E14 (vectorized)** -- the set-at-a-time value-predicate engine vs
-  the object-hop escape hatch (``use_vectorized_predicates=False``) on
-  the predicate-heavy XMark+TPoX workload: wall time per mode, the
-  speedup, result/value byte-identity, the node-materialization
-  counters (vectorized side must be zero), and the sizing flag.
 * **E10 (online tuning)** -- the autonomous loop vs the offline
   advisor: stationary byte-identity, drift detection + re-convergence
   after an injected workload shift, and the bounded-compression counts
@@ -48,13 +34,8 @@ Sizes are controlled by ``REPRO_SMOKE_XMARK_SCALE`` (default ``0.1``)
 so CI stays fast; run with a larger scale locally for headline numbers.
 
 The exit status doubles as a CI gate: non-zero when a comparison lost
-equivalence, the maintenance speedup fell below
-``REPRO_SMOKE_MIN_MAINT_RATIO`` (default ``2``), the routing ratios
-fell below ``REPRO_SMOKE_MIN_ROUTING_RATIO`` (default ``2``), the columnar
-comparison lost equivalence/exactness or its scan ratio fell below
-``REPRO_SMOKE_MIN_COLUMNAR_RATIO`` (default ``2``), the vectorized
-comparison lost equivalence/exactness or its scan ratio fell below
-``REPRO_SMOKE_MIN_VECTORIZED_RATIO`` (default ``2``), the
+equivalence, the routing re-costing ratio fell below
+``REPRO_SMOKE_MIN_ROUTING_RATIO`` (default ``2``), the
 online loop lost convergence/boundedness, its compression ratio
 fell below ``REPRO_SMOKE_MIN_ONLINE_COMPRESSION`` (default ``2``), the
 recovery run lost convergence/result identity, its overhead ratio
@@ -80,7 +61,6 @@ sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.executor.measurement import measure_scan_modes
-from repro.tools.maintenance_compare import compare_maintenance_modes
 from repro.tools.whatif_compare import compare_search_modes
 from repro.workloads.xmark import (
     XMarkConfig,
@@ -138,115 +118,24 @@ def record_e5_execution(database, workload) -> dict:
     }
 
 
-def record_e6_maintenance(scale: float) -> dict:
-    """Incremental vs rebuild document-add maintenance (best of 3 to
-    damp scheduler noise at CI scales)."""
-    best = None
-    for _ in range(3):
-        comparison = compare_maintenance_modes(scale=scale)
-        if not comparison.identical:
-            best = comparison
-            break
-        if best is None or comparison.ratio > best.ratio:
-            best = comparison
-    return {
-        "base_documents": best.base_documents,
-        "documents_added": best.documents_added,
-        "incremental_seconds": round(best.incremental_seconds, 4),
-        "rebuild_seconds": round(best.rebuild_seconds, 4),
-        "speedup": round(best.ratio, 2),
-        "identical_state": best.identical,
-    }
-
-
 def record_e7_routing(scale: float) -> dict:
-    """Routed vs unrouted scan + what-if re-costing (best of 3 for the
-    timed scan half; the re-costing counts are deterministic)."""
+    """Routed vs unrouted scans + what-if re-costing (every number is a
+    deterministic count or flag)."""
     from repro.tools.routing_compare import compare_routing_modes
 
-    best = None
-    for _ in range(3):
-        comparison = compare_routing_modes(scale=scale)
-        exact = (comparison.identical_results and comparison.benefits_identical
-                 and comparison.configurations_identical
-                 and comparison.cross_recostings == 0)
-        if not exact:
-            best = comparison
-            break
-        if best is None or comparison.scan_ratio > best.scan_ratio:
-            best = comparison
+    comparison = compare_routing_modes(scale=scale)
     return {
-        "xmark_documents": best.xmark_documents,
-        "ballast_documents": best.ballast_documents,
-        "routed_seconds": round(best.routed_seconds, 4),
-        "unrouted_seconds": round(best.unrouted_seconds, 4),
-        "scan_speedup": round(best.scan_ratio, 2),
-        "recostings_routed": best.recostings_routed,
-        "recostings_unrouted": best.recostings_unrouted,
-        "recosting_ratio": round(best.recosting_ratio, 2),
-        "cross_recostings": best.cross_recostings,
-        "identical_results": best.identical_results,
-        "benefits_identical": best.benefits_identical,
-        "configurations_identical": best.configurations_identical,
-    }
-
-
-def record_e13_columnar(scale: float) -> dict:
-    """Columnar vs interpretive descendant-heavy scans (best of 3 for
-    the timed half; fallback counters and flags are deterministic)."""
-    from repro.tools.columnar_compare import compare_columnar_modes
-
-    best = None
-    for _ in range(3):
-        comparison = compare_columnar_modes(scale=scale)
-        exact = (comparison.identical_results and comparison.sizing_consistent
-                 and comparison.columnar_fallbacks == 0
-                 and comparison.interpretive_fallbacks > 0)
-        if not exact:
-            best = comparison
-            break
-        if best is None or comparison.scan_ratio > best.scan_ratio:
-            best = comparison
-    return {
-        "documents": best.documents,
-        "node_count": best.node_count,
-        "columnar_seconds": round(best.columnar_seconds, 4),
-        "interpretive_seconds": round(best.interpretive_seconds, 4),
-        "scan_speedup": round(best.scan_ratio, 2),
-        "columnar_fallbacks": best.columnar_fallbacks,
-        "interpretive_fallbacks": best.interpretive_fallbacks,
-        "result_rows": best.result_rows,
-        "identical_results": best.identical_results,
-        "sizing_consistent": best.sizing_consistent,
-    }
-
-
-def record_e14_vectorized(scale: float) -> dict:
-    """Vectorized vs object-hop predicate scans (best of 3 for the
-    timed half; materialization counters and flags are deterministic)."""
-    from repro.tools.vectorized_compare import compare_vectorized_modes
-
-    best = None
-    for _ in range(3):
-        comparison = compare_vectorized_modes(scale=scale)
-        exact = (comparison.identical_results and comparison.sizing_consistent
-                 and comparison.vectorized_materializations == 0
-                 and comparison.hatch_materializations > 0)
-        if not exact:
-            best = comparison
-            break
-        if best is None or comparison.scan_ratio > best.scan_ratio:
-            best = comparison
-    return {
-        "documents": best.documents,
-        "vectorized_seconds": round(best.vectorized_seconds, 4),
-        "hatch_seconds": round(best.hatch_seconds, 4),
-        "scan_speedup": round(best.scan_ratio, 2),
-        "vectorized_materializations": best.vectorized_materializations,
-        "hatch_materializations": best.hatch_materializations,
-        "result_rows": best.result_rows,
-        "identical_results": best.identical_results,
-        "sizing_consistent": best.sizing_consistent,
+        "xmark_documents": comparison.xmark_documents,
+        "ballast_documents": comparison.ballast_documents,
+        "routed_documents_examined": comparison.routed_documents_examined,
+        "unrouted_documents_examined": comparison.unrouted_documents_examined,
+        "recostings_routed": comparison.recostings_routed,
+        "recostings_unrouted": comparison.recostings_unrouted,
+        "recosting_ratio": round(comparison.recosting_ratio, 2),
+        "cross_recostings": comparison.cross_recostings,
+        "identical_results": comparison.identical_results,
+        "benefits_identical": comparison.benefits_identical,
+        "configurations_identical": comparison.configurations_identical,
     }
 
 
@@ -382,10 +271,7 @@ def main() -> int:
         "xmark_scale": scale,
         "e3_search": record_e3_search(database, workload),
         "e5_execution": record_e5_execution(database, workload),
-        "e6_maintenance": record_e6_maintenance(scale),
         "e7_routing": record_e7_routing(scale),
-        "e13_columnar": record_e13_columnar(scale),
-        "e14_vectorized": record_e14_vectorized(scale),
         "e15_telemetry": record_e15_telemetry(scale),
         "e10_online": record_e10_online(scale),
         "e12_recovery": record_e12_recovery(scale),
@@ -398,10 +284,8 @@ def main() -> int:
     _write_history(args.output, entries)
 
     e3, e5 = entry["e3_search"], entry["e5_execution"]
-    e6, e7 = entry["e6_maintenance"], entry["e7_routing"]
+    e7 = entry["e7_routing"]
     e10, e12 = entry["e10_online"], entry["e12_recovery"]
-    e13 = entry["e13_columnar"]
-    e14 = entry["e14_vectorized"]
     e15 = entry["e15_telemetry"]
     print(f"wrote {args.output} (xmark scale {scale})")
     print(f"  E3: identical={e3['identical_configurations']} "
@@ -412,26 +296,11 @@ def main() -> int:
           f"({e3['time_speedup']}x)")
     print(f"  E5: scan {e5['interpretive_seconds']}s -> summary "
           f"{e5['summary_seconds']}s ({e5['speedup']}x)")
-    print(f"  E6: identical={e6['identical_state']} maintenance rebuild "
-          f"{e6['rebuild_seconds']}s -> incremental "
-          f"{e6['incremental_seconds']}s ({e6['speedup']}x)")
-    print(f"  E7: scan {e7['unrouted_seconds']}s -> routed "
-          f"{e7['routed_seconds']}s ({e7['scan_speedup']}x), "
+    print(f"  E7: scans examine {e7['unrouted_documents_examined']}"
+          f"->{e7['routed_documents_examined']} document(s), "
           f"re-costings {e7['recostings_unrouted']}"
           f"->{e7['recostings_routed']} ({e7['recosting_ratio']}x), "
           f"cross={e7['cross_recostings']}")
-    print(f"  E13: identical={e13['identical_results']} "
-          f"sizing={e13['sizing_consistent']} "
-          f"descendant scan {e13['interpretive_seconds']}s -> columnar "
-          f"{e13['columnar_seconds']}s ({e13['scan_speedup']}x), "
-          f"fallbacks {e13['interpretive_fallbacks']}"
-          f"->{e13['columnar_fallbacks']}")
-    print(f"  E14: identical={e14['identical_results']} "
-          f"sizing={e14['sizing_consistent']} "
-          f"predicate scan {e14['hatch_seconds']}s -> vectorized "
-          f"{e14['vectorized_seconds']}s ({e14['scan_speedup']}x), "
-          f"materializations {e14['hatch_materializations']}"
-          f"->{e14['vectorized_materializations']}")
     print(f"  E15: identical={e15['identical_results']} "
           f"untraced {e15['untraced_seconds']}s -> traced "
           f"{e15['traced_seconds']}s ({e15['overhead_ratio']}x), "
@@ -452,44 +321,18 @@ def main() -> int:
           f"({e12['overhead_ratio']}x over {e12['faults_injected']} "
           f"fault(s), {e12['rollbacks']} rollback(s))")
 
-    min_maint_ratio = _env_float("REPRO_SMOKE_MIN_MAINT_RATIO", 2.0)
     min_routing_ratio = _env_float("REPRO_SMOKE_MIN_ROUTING_RATIO", 2.0)
     min_online_compression = _env_float(
         "REPRO_SMOKE_MIN_ONLINE_COMPRESSION", 2.0)
-    if not e3["identical_configurations"] or not e6["identical_state"]:
-        return 1
-    if e6["speedup"] < min_maint_ratio:
-        print(f"  FAIL: maintenance speedup {e6['speedup']}x below the "
-              f"floor {min_maint_ratio}x")
+    if not e3["identical_configurations"]:
         return 1
     if not (e7["identical_results"] and e7["benefits_identical"]
             and e7["configurations_identical"]) or e7["cross_recostings"]:
         print("  FAIL: routing comparison lost equivalence")
         return 1
-    if e7["scan_speedup"] < min_routing_ratio \
-            or e7["recosting_ratio"] < min_routing_ratio:
-        print(f"  FAIL: routing ratios {e7['scan_speedup']}x scan / "
-              f"{e7['recosting_ratio']}x re-costing below the floor "
-              f"{min_routing_ratio}x")
-        return 1
-    min_columnar_ratio = _env_float("REPRO_SMOKE_MIN_COLUMNAR_RATIO", 2.0)
-    if not (e13["identical_results"] and e13["sizing_consistent"]) \
-            or e13["columnar_fallbacks"] or not e13["interpretive_fallbacks"]:
-        print("  FAIL: columnar comparison lost equivalence/exactness")
-        return 1
-    if e13["scan_speedup"] < min_columnar_ratio:
-        print(f"  FAIL: columnar scan speedup {e13['scan_speedup']}x below "
-              f"the floor {min_columnar_ratio}x")
-        return 1
-    min_vectorized_ratio = _env_float("REPRO_SMOKE_MIN_VECTORIZED_RATIO", 2.0)
-    if not (e14["identical_results"] and e14["sizing_consistent"]) \
-            or e14["vectorized_materializations"] \
-            or not e14["hatch_materializations"]:
-        print("  FAIL: vectorized comparison lost equivalence/exactness")
-        return 1
-    if e14["scan_speedup"] < min_vectorized_ratio:
-        print(f"  FAIL: vectorized scan speedup {e14['scan_speedup']}x below "
-              f"the floor {min_vectorized_ratio}x")
+    if e7["recosting_ratio"] < min_routing_ratio:
+        print(f"  FAIL: routing re-costing ratio {e7['recosting_ratio']}x "
+              f"below the floor {min_routing_ratio}x")
         return 1
     if not e10["converged"]:
         print("  FAIL: online tuning loop lost convergence/boundedness")

@@ -14,7 +14,7 @@ shared with the perf recorder):
   the loop must converge to the *same* configuration with identical
   query results.
 * **degraded mode** -- one live index is marked unusable; the
-  summary-scan fallback must return result counts identical to the
+  document-scan fallback must return result counts identical to the
   clean run, and the repair path must rebuild the index afterwards.
 
 The headline number is the recovery overhead ratio (faulted tuning
@@ -66,7 +66,7 @@ def test_e12_recovery_overhead_and_fallback_correctness(benchmark):
     assert comparison.results_identical, (
         "query results diverged between the clean and faulted runs")
     assert comparison.fallback_identical, (
-        "the degraded-mode summary-scan fallback changed query results")
+        "the degraded-mode document-scan fallback changed query results")
     assert comparison.repaired, (
         "the repair path failed to rebuild the degraded index")
     assert comparison.overhead_ratio <= MAX_RECOVERY_OVERHEAD, (

@@ -90,12 +90,12 @@ def test_e9_database_scale_scaling(benchmark, xmark_train):
 
 
 def test_e9_summary_speedup_scaling(benchmark, xmark_train):
-    """Structural-summary scan speedup as the database scale grows.
+    """Columnar engine scan speedup as the database scale grows.
 
     The interpretive scan re-walks every node tree once per location
-    step, so its cost grows with total nodes; the summary answers the
-    same lookups from per-path dictionaries.  Expected shape: the
-    speedup holds (or grows) as the database gets bigger.
+    step, so its cost grows with total nodes; the engine answers the
+    same predicates set-at-a-time from per-path postings.  Expected
+    shape: the speedup holds (or grows) as the database gets bigger.
     """
     databases = {scale: generate_xmark_database(XMarkConfig(scale=scale, seed=42))
                  for scale in DATABASE_SCALES}
@@ -105,26 +105,26 @@ def test_e9_summary_speedup_scaling(benchmark, xmark_train):
         for scale, database in databases.items():
             measurements = measure_scan_modes(database, xmark_train)
             interpretive = measurements["scan-interpretive"]
-            summary = measurements["scan-summary"]
+            engine = measurements["scan-engine"]
             rows.append({
                 "scale": scale,
                 "documents": database.statistics.document_count,
                 "interpretive_ms": interpretive.total_seconds * 1000,
-                "summary_ms": summary.total_seconds * 1000,
-                "speedup": (interpretive.total_seconds / summary.total_seconds
-                            if summary.total_seconds > 0 else float("inf")),
+                "engine_ms": engine.total_seconds * 1000,
+                "speedup": (interpretive.total_seconds / engine.total_seconds
+                            if engine.total_seconds > 0 else float("inf")),
                 "equal": all(a.result_count == b.result_count
                              for a, b in zip(interpretive.per_query,
-                                             summary.per_query)),
+                                             engine.per_query)),
             })
         return rows
 
     rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     table = render_table(
-        ["scale", "documents", "interpretive (ms)", "summary (ms)", "speedup"],
+        ["scale", "documents", "interpretive (ms)", "engine (ms)", "speedup"],
         [[f"{r['scale']:.2f}", r["documents"], f"{r['interpretive_ms']:.1f}",
-          f"{r['summary_ms']:.1f}", f"{r['speedup']:.2f}x"] for r in rows])
-    print_section("E9c - structural-summary scan speedup vs. database scale", table)
+          f"{r['engine_ms']:.1f}", f"{r['speedup']:.2f}x"] for r in rows])
+    print_section("E9c - engine scan speedup vs. database scale", table)
     assert all(r["equal"] for r in rows)
-    # At the largest scale the structural summary must be a clear win.
+    # At the largest scale the engine must be a clear win.
     assert rows[-1]["speedup"] >= MIN_SUMMARY_SPEEDUP

@@ -56,8 +56,8 @@ XMARK_SCALE = _env_float("REPRO_BENCH_XMARK_SCALE", 0.05 if BENCH_SMOKE else 0.2
 #: (a few hundred small documents).
 TPOX_SCALE = _env_float("REPRO_BENCH_TPOX_SCALE", 0.25)
 
-#: Minimum accepted scan-vs-summary speedup.  At the full benchmark
-#: scale the structural summary wins by ~10x, so 5x leaves headroom; at
+#: Minimum accepted interpreter-vs-engine scan speedup.  At the full
+#: benchmark scale the engine wins by ~10x, so 5x leaves headroom; at
 #: the tiny smoke scales runs are noisy and the floor is conservative.
 MIN_SUMMARY_SPEEDUP = 2.0 if BENCH_SMOKE else 5.0
 

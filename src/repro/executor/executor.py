@@ -4,19 +4,18 @@ Execution follows the optimizer's plan choice:
 
 * **Document scan plans** check the query's predicates and extraction
   paths against every document *of the plan's routing set* -- the
-  collections whose path summary/synopsis can match the query's
-  patterns (structural routing; a query rooted in one collection does
-  not walk the others).  Each routed collection is answered
-  set-at-a-time from its columnar pre/post store
+  collections whose path synopsis can match the query's patterns
+  (structural routing; a query rooted in one collection does not walk
+  the others).  Each routed collection is answered set-at-a-time from
+  its columnar pre/post store
   (:class:`~repro.storage.columnar.ColumnarStore`): one
   :meth:`~repro.storage.columnar.ColumnarStore.matching_documents` call
   per predicate -- two bisects over the path's value-sorted posting
   permutation -- intersected, so a scan costs O(matching postings) and
   touches no ``XmlNode``.  A collection whose store cannot be published
-  degrades to per-document evaluation over its structural
-  :class:`~repro.storage.path_summary.PathSummary` (dictionary lookups
-  whenever the path shape allows it, the interpretive XPath evaluator
-  for the residue; see :mod:`repro.xpath.compiler`).
+  degrades to the interpreter: the
+  :class:`~repro.xpath.evaluator.XPathEvaluator` per document, which is
+  also the reference the engine is tested against.
 * **Index plans** probe the physical indexes chosen by the optimizer to
   obtain candidate document ids, intersect them across predicates
   (index ANDing), and then evaluate the full query only on the
@@ -39,8 +38,8 @@ reflects in the catalog (per-index staleness tracking).  A journal gap
 
 Extraction: ``execute(query, extract=True)`` additionally returns the
 nodes selected by the query's extraction paths in document order --
-``(collection, document, node id)`` -- served by the summary's ordered
-multi-path merges (``CompiledXPath.select_nodes(ordered=True)``).
+``(collection, document, node id)`` -- served by the store's ordered
+postings merges (``ColumnarStore.nodes_for_pattern(ordered=True)``).
 
 Index-plan residual checks ride the same per-collection document sets,
 and ``execute(extract_values=True)`` serves the extraction paths'
@@ -54,6 +53,7 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -74,7 +74,6 @@ from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.plans import IndexScan, QueryPlan
 from repro.storage.columnar import ColumnarStore
 from repro.storage.document_store import XmlDatabase
-from repro.storage.path_summary import PathSummary
 from repro.telemetry import (
     CostAccounting,
     MetricsRegistry,
@@ -85,9 +84,9 @@ from repro.telemetry import (
     wall_clock,
 )
 from repro.xmldb.nodes import DocumentNode, XmlNode, normalized_node_value
-from repro.xpath.compiler import compile_pattern
+from repro.xpath.ast import BinaryOp, PathExpr
 from repro.xpath.evaluator import XPathEvaluator
-from repro.xpath.ast import BinaryOp
+from repro.xpath.parser import parse_xpath
 from repro.xpath.patterns import PathPattern
 from repro.xquery.model import NormalizedQuery, PathPredicate
 from repro.xquery.normalizer import normalize_statement
@@ -95,12 +94,9 @@ from repro.xquery.normalizer import normalize_statement
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.tuning.monitor import WorkloadMonitor
 
-escape_hatch("use_path_summary",
-             "legacy per-document interpretive scans instead of the "
-             "structural path-summary engine")
 escape_hatch("use_columnar",
-             "evaluate per document over the object-tree summary/interpreter "
-             "instead of the columnar store's set-at-a-time engine")
+             "evaluate per document with the interpreter instead of the "
+             "columnar store's set-at-a-time engine")
 
 #: Fixed bucket bounds (seconds) for the per-query wall-clock latency
 #: histogram -- literal by the telemetry contract (no data-dependent
@@ -109,6 +105,14 @@ _QUERY_SECONDS_BOUNDS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05,
                          0.1, 0.5, 1.0, 5.0)
 #: Fixed bucket bounds for the per-query documents-examined histogram.
 _DOCS_EXAMINED_BOUNDS = (1, 10, 100, 1000, 10000, 100000)
+
+
+@lru_cache(maxsize=2048)
+def _pattern_expression(pattern: PathPattern) -> PathExpr:
+    """The XPath AST of a pattern's text, parsed once per pattern (the
+    interpreter evaluates the same few patterns against every document).
+    Callers must treat the shared AST as immutable."""
+    return parse_xpath(pattern.to_text())
 
 
 def _plan_shape(plan: QueryPlan) -> str:
@@ -187,9 +191,6 @@ class _IndexProbeError(Exception):
     "_collection_rank": {"policy": "push",
                          "readers": ("_execute_index_plan",),
                          "refreshers": ("_refresh_document_lookup",)},
-    "_summaries": {"policy": "push",
-                   "readers": ("_summary_for",),
-                   "refreshers": ("_on_collection_change",)},
     "_columnars": {"policy": "push",
                    "readers": ("_columnar_for",),
                    "refreshers": ("_on_collection_change",)},
@@ -199,12 +200,12 @@ class QueryExecutor:
 
     The engine is each collection's
     :class:`~repro.storage.columnar.ColumnarStore`: predicates and value
-    extraction run set-at-a-time over its columns.  The two keywords
-    exist to build references for it: ``use_columnar=False`` evaluates
-    per document over the structural
-    :class:`~repro.storage.path_summary.PathSummary` (what a collection
-    degrades to by itself when its store cannot be published), and
-    ``use_path_summary=False`` evaluates purely interpretively.
+    extraction run set-at-a-time over its columns.
+    ``use_columnar=False`` builds the reference for it: the interpreter
+    per document, which is also what a collection degrades to by itself
+    when its store cannot be published.  ``use_path_summary`` is ANDed
+    into ``use_columnar`` and kept only because the E0 benchmark's
+    checker (``bench/check.py:134``) passes it; it goes with that call.
     """
 
     def __init__(self, database: XmlDatabase,
@@ -220,21 +221,17 @@ class QueryExecutor:
         #: query (and its measured work) is recorded into the monitor's
         #: decayed frequency store (see :mod:`repro.tuning.monitor`).
         self.monitor = monitor
-        self.use_path_summary = use_path_summary
-        #: Only active together with ``use_path_summary``, so the
-        #: interpretive reference stays purely interpretive.
-        self.use_columnar = use_columnar
+        self.use_columnar = use_columnar and use_path_summary
         #: Physical index structures keyed by definition key.
         self._indexes: Dict[Tuple[str, str], PhysicalPathIndex] = {}
         self._doc_lookup: Dict[Tuple[str, int], DocumentNode] = {}
         self._lookup_signature: Optional[Tuple[Tuple[str, int], ...]] = None
         #: Memoized per-collection state: the collection insertion-order
-        #: rank (for ordered extraction) and the current path summaries.
-        #: Both are invalidated by the collections' own version
+        #: rank (for ordered extraction) and the current columnar
+        #: stores.  Both are invalidated by the collections' own version
         #: listeners instead of being re-derived on every plan
         #: execution.
         self._collection_rank: Dict[str, int] = {}
-        self._summaries: Dict[str, PathSummary] = {}
         self._columnars: Dict[str, ColumnarStore] = {}
         self._subscribed: set = set()
         #: Instance-scoped metrics registry (the telemetry plane).  The
@@ -337,9 +334,8 @@ class QueryExecutor:
 
     @property
     def interpretive_spine_fallbacks(self) -> int:
-        """Path spines answered by the interpretive evaluator in
-        degraded mode because the summary could not back them (zero on
-        the columnar engine)."""
+        """Path spines answered by the interpretive evaluator (degraded
+        mode and the reference; zero on the columnar engine)."""
         return self._m_interpretive_spine_fallbacks.value
 
     @interpretive_spine_fallbacks.setter
@@ -638,9 +634,9 @@ class QueryExecutor:
             raise ValueError(
                 "the executor runs read queries; updates are costed by the optimizer")
         if root is not None:
-            # Pattern compilation is memoized and interleaved with
-            # matching, so the compile span carries the logical shape
-            # only (no separable wall time).
+            # Pattern -> path matching is memoized per store and
+            # interleaved with matching, so the compile span carries the
+            # logical shape only (no separable wall time).
             root.child("compile", predicates=len(query.predicates),
                        extraction_paths=len(query.extraction_paths))
         start = wall_clock()
@@ -775,10 +771,9 @@ class QueryExecutor:
             scan_span = trace.child("scan")
             scan_start = wall_clock()
         for collection in collections:
-            summary = self._summary_for(collection.name)
             columnar = self._columnar_for(collection.name)
             if scan_span is not None:
-                engines.add(_engine(summary, columnar))
+                engines.add(_engine(columnar))
             if columnar is not None:
                 # Set-at-a-time: one document set per predicate (two
                 # bisects over the path's value-sorted projection),
@@ -800,19 +795,17 @@ class QueryExecutor:
                             (collection.name, doc_key))
                         if document is not None:
                             extracted.extend(self._extract_nodes(
-                                document, query, summary, columnar))
+                                document, query, columnar))
                 continue
-            # Degraded mode (no store) and the references: per document.
+            # Degraded mode (no store) and the reference: per document.
             for document in collection:
                 examined += 1
-                if self._document_matches(document, query, summary):
+                if self._document_matches(document, query):
                     matching_docs += 1
                     if extracted is not None:
-                        extracted.extend(self._extract_nodes(
-                            document, query, summary))
+                        extracted.extend(self._extract_nodes(document, query))
                     if values is not None:
-                        values.extend(self._extract_values(
-                            document, query, summary))
+                        values.extend(self._extract_values(document, query))
         if scan_span is not None:
             scan_span.elapsed_seconds = wall_clock() - scan_start
             scan_span.annotate(engines=sorted(engines),
@@ -947,11 +940,10 @@ class QueryExecutor:
             document = self._doc_lookup.get(key)
             if document is None:
                 continue
-            summary = self._summary_for(key[0])
             columnar = self._columnar_for(key[0])
             examined += 1
             if residual_span is not None:
-                engines.add(_engine(summary, columnar))
+                engines.add(_engine(columnar))
             if columnar is not None:
                 matched_keys = vectorized_keys.get(key[0])
                 if matched_keys is None:
@@ -960,12 +952,12 @@ class QueryExecutor:
                     vectorized_keys[key[0]] = matched_keys
                 matched = key[1] in matched_keys
             else:
-                matched = self._document_matches(document, query, summary)
+                matched = self._document_matches(document, query)
             if matched:
                 matching += 1
                 if extracted is not None:
                     extracted.extend(self._extract_nodes(
-                        document, query, summary, columnar))
+                        document, query, columnar))
                 if values is not None:
                     if columnar is not None:
                         if columnar is not run_store:
@@ -974,8 +966,7 @@ class QueryExecutor:
                         run_keys.append(key[1])
                     else:
                         flush_run()
-                        values.extend(self._extract_values(
-                            document, query, summary))
+                        values.extend(self._extract_values(document, query))
         flush_run()
         if residual_span is not None:
             residual_span.elapsed_seconds = wall_clock() - residual_start
@@ -1021,73 +1012,58 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Residual evaluation
     # ------------------------------------------------------------------
-    def _document_matches(self, document: DocumentNode, query: NormalizedQuery,
-                          summary: Optional[PathSummary]) -> bool:
+    def _document_matches(self, document: DocumentNode,
+                          query: NormalizedQuery) -> bool:
         """Per-document matching without a store: degraded mode and the
-        references (``summary`` is ``None`` on the interpretive one)."""
-        evaluator: Optional[XPathEvaluator] = None
-
-        def nodes_for(pattern: PathPattern) -> List[XmlNode]:
-            # Summary-safe spines answer from the summary; the rest
-            # (``//`` shapes it cannot answer, or no summary at all) go
-            # to the interpretive evaluator, which is created once per
-            # document and reused.
-            nonlocal evaluator
-            compiled = compile_pattern(pattern)
-            if summary is None or not compiled.is_summary_backed:
-                self._m_interpretive_spine_fallbacks.inc()
-                if evaluator is None:
-                    evaluator = XPathEvaluator(document)
-            self._m_scan_node_materializations.inc()
-            return compiled.select_nodes(summary, document, evaluator)
-
+        reference."""
+        evaluator = XPathEvaluator(document)
         for predicate in query.predicates:
-            if not self._predicate_holds(nodes_for(predicate.pattern), predicate):
+            if not self._predicate_holds(
+                    self._interpreted(evaluator, predicate.pattern), predicate):
                 return False
         if not query.predicates:
             # Pure navigation query: the document qualifies when any
             # extraction path is non-empty.
-            return any(nodes_for(pattern)
+            return any(self._interpreted(evaluator, pattern)
                        for pattern in query.extraction_paths)
         return True
 
     def _extract_nodes(self, document: DocumentNode, query: NormalizedQuery,
-                       summary: Optional[PathSummary],
                        columnar: Optional[ColumnarStore] = None
                        ) -> List[XmlNode]:
         """The nodes the query's extraction paths select in ``document``,
         per path in document order.
 
-        Ordered extraction is what the summary's node-id merges (and the
-        columnar store's postings merges) exist for: a multi-path
-        pattern (``/site/regions/*/item/name``) comes back as one
-        document-ordered stream instead of grouped by distinct path
-        (``CompiledXPath.select_nodes(ordered=True)``).  The
-        interpretive fallback already yields step-expansion order, which
-        is document order for these linear paths.
+        A multi-path pattern (``/site/regions/*/item/name``) comes back
+        from the store as one document-ordered postings merge instead of
+        grouped by distinct path; the interpreter's step expansion is
+        document order already for these linear paths.
         """
-        evaluator: Optional[XPathEvaluator] = None
+        evaluator = XPathEvaluator(document) if columnar is None else None
         nodes: List[XmlNode] = []
         for pattern in query.extraction_paths:
-            compiled = compile_pattern(pattern)
-            backed = ((columnar is not None and compiled.is_columnar_backed)
-                      or (summary is not None and compiled.is_summary_backed))
-            if not backed:
-                self._m_interpretive_spine_fallbacks.inc()
-                if evaluator is None:
-                    evaluator = XPathEvaluator(document)
-            self._m_scan_node_materializations.inc()
-            nodes.extend(compiled.select_nodes(summary, document, evaluator,
-                                               ordered=True, columnar=columnar))
+            if evaluator is not None:
+                nodes.extend(self._interpreted(evaluator, pattern))
+            else:
+                self._m_scan_node_materializations.inc()
+                nodes.extend(columnar.nodes_for_pattern(
+                    pattern, document.doc_id, ordered=True))
         return nodes
 
-    def _extract_values(self, document: DocumentNode, query: NormalizedQuery,
-                        summary: Optional[PathSummary]) -> List[str]:
+    def _extract_values(self, document: DocumentNode,
+                        query: NormalizedQuery) -> List[str]:
         """Normalized values of the extraction-path nodes -- the
         per-document counterpart of reading the columnar values column,
         which stores exactly ``normalized_node_value`` per node."""
         return [normalized_node_value(node) for node in
-                self._extract_nodes(document, query, summary)]
+                self._extract_nodes(document, query)]
+
+    def _interpreted(self, evaluator: XPathEvaluator,
+                     pattern: PathPattern) -> List[XmlNode]:
+        """One path spine answered by the interpreter."""
+        self._m_interpretive_spine_fallbacks.inc()
+        self._m_scan_node_materializations.inc()
+        return evaluator.select_nodes(_pattern_expression(pattern))
 
     @staticmethod
     def _predicate_holds(nodes: List[XmlNode],
@@ -1106,8 +1082,8 @@ class QueryExecutor:
             self._collection_rank[collection.name] = position
             if collection.name not in self._subscribed:
                 # Per-collection version listener: drop the memoized
-                # summary the moment the collection's data changes, so
-                # `_summary_for` can hold snapshots across executions
+                # store the moment the collection's data changes, so
+                # `_columnar_for` can hold snapshots across executions
                 # without ever serving a stale one.  Subscribed weakly:
                 # executors are often shorter-lived than the database,
                 # and must not be pinned by the listener list.
@@ -1118,39 +1094,14 @@ class QueryExecutor:
         self._lookup_signature = self.database.data_signature()
 
     def _on_collection_change(self, collection) -> None:
-        self._summaries.pop(collection.name, None)
         self._columnars.pop(collection.name, None)
-
-    def _summary_for(self, collection_name: str) -> Optional[PathSummary]:
-        """The collection's current path summary (memoized behind the
-        per-collection version listeners), or ``None`` on the
-        interpretive reference."""
-        if not self.use_path_summary:
-            return None
-        summary = self._summaries.get(collection_name)
-        if summary is None:
-            try:
-                summary = self.database.collection(collection_name).path_summary
-            except FaultError as exc:
-                # Degraded mode: when the summary cannot be (re)built,
-                # fall back to interpretive per-document evaluation --
-                # provably the same results, without the summary.
-                self._note_fallback(
-                    f"path summary for {collection_name!r} unavailable "
-                    f"({exc}); interpretive evaluation")
-                return None
-            self._summaries[collection_name] = summary
-        return summary
 
     def _columnar_for(self, collection_name: str) -> Optional[ColumnarStore]:
         """The collection's current columnar store (memoized behind the
-        per-collection version listeners), or ``None`` when the columnar
-        engine is off or the store cannot be (re)built.
-
-        Gated on *both* keywords: the interpretive reference
-        (``use_path_summary=False``) must stay purely interpretive.
+        per-collection version listeners), or ``None`` on the reference
+        (``use_columnar=False``) or when the store cannot be (re)built.
         """
-        if not (self.use_path_summary and self.use_columnar):
+        if not self.use_columnar:
             return None
         columnar = self._columnars.get(collection_name)
         if columnar is None:
@@ -1158,22 +1109,19 @@ class QueryExecutor:
                 columnar = self.database.collection(collection_name).columnar_store
             except FaultError as exc:
                 # Degraded mode: when the columnar snapshot cannot be
-                # (re)built, fall back to the summary/interpreter --
-                # provably the same results, without the axis engine.
+                # (re)built, fall back to the interpreter -- provably the
+                # same results, without the store.
                 self._note_fallback(
                     f"columnar store for {collection_name!r} unavailable "
-                    f"({exc}); summary/interpretive evaluation")
+                    f"({exc}); interpretive evaluation")
                 return None
             self._columnars[collection_name] = columnar
         return columnar
 
 
-def _engine(summary: Optional[PathSummary],
-            columnar: Optional[ColumnarStore]) -> str:
-    """The strongest backing one collection visit had (span annotation)."""
-    if columnar is not None:
-        return "columnar"
-    return "summary" if summary is not None else "interpreter"
+def _engine(columnar: Optional[ColumnarStore]) -> str:
+    """What answered one collection visit (span annotation)."""
+    return "columnar" if columnar is not None else "interpreter"
 
 
 def _compare_node(node, predicate: PathPredicate) -> bool:

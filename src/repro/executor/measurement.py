@@ -94,11 +94,11 @@ def measure_scan_modes(database: XmlDatabase,
                        ) -> Dict[str, WorkloadMeasurement]:
     """Execute ``workload`` as document scans under both scan engines.
 
-    Returns measurements keyed ``"scan-interpretive"`` (the legacy
-    per-document XPath interpreter) and ``"scan-summary"`` (path lookups
-    answered from each collection's structural path summary), so
-    benchmarks can report the structural-summary speedup.  No indexes
-    are used in either run.
+    Returns measurements keyed ``"scan-interpretive"`` (the per-document
+    XPath interpreter, the executor's reference) and ``"scan-engine"``
+    (each collection answered set-at-a-time from its columnar store), so
+    benchmarks can report the engine's speedup.  No indexes are used in
+    either run.
     """
     if isinstance(workload, Workload):
         queries = normalize_workload(workload)
@@ -107,10 +107,10 @@ def measure_scan_modes(database: XmlDatabase,
     queries = [q for q in queries if not q.is_update]
 
     results: Dict[str, WorkloadMeasurement] = {}
-    for label, use_summary in (("scan-interpretive", False),
-                               ("scan-summary", True)):
-        executor = QueryExecutor(database, use_path_summary=use_summary)
+    for label, use_columnar in (("scan-interpretive", False),
+                                ("scan-engine", True)):
+        executor = QueryExecutor(database, use_columnar=use_columnar)
         executor.drop_all_indexes()
-        executor.execute_workload(queries)  # warm caches and summaries
+        executor.execute_workload(queries)  # warm caches and stores
         results[label] = _run(executor, queries, label)
     return results

@@ -31,7 +31,6 @@ from repro.index.definition import IndexDefinition
 from repro.index.sizing import estimate_entry_count, estimate_key_width
 from repro.storage import pages
 from repro.storage.statistics import DatabaseStatistics
-from repro.xpath.compiler import pattern_summary_safe
 from repro.xpath.patterns import PathPattern
 from repro.xquery.model import NormalizedQuery, PathPredicate
 
@@ -39,10 +38,10 @@ from repro.xquery.model import NormalizedQuery, PathPredicate
 #: match, sorted.  ``None`` stands for "every collection" -- used when
 #: collection-scoped costing is disabled, when the statistics carry no
 #: per-collection sub-synopses, or when a query's patterns genuinely
-#: cover every collection.  Summary-unsafe ``//`` shapes no longer
-#: widen the set: their descendant-or-self semantics are decided
-#: exactly against each collection's path synopsis
-#: (:meth:`~repro.xpath.patterns.PathPattern.matches_evaluator`).
+#: cover every collection.  Read patterns are matched with the
+#: interpreter's descendant-or-self semantics
+#: (:meth:`~repro.xpath.patterns.PathPattern.matches_evaluator`), so
+#: ``//`` shapes never widen the set.
 RoutingSet = Optional[Tuple[str, ...]]
 
 
@@ -79,7 +78,7 @@ class CostModel:
 
     With ``use_collection_costing`` (the default) every cost term is
     computed against the merged synopsis of the query's *routing set* --
-    the collections whose path summary/synopsis can match the query's
+    the collections whose path synopsis can match the query's
     patterns (:meth:`routing_set` / :meth:`scoped`) -- instead of the
     whole-database aggregates.  On a single-collection database (or when
     a query routes to every collection) the scoped synopsis *is* the
@@ -96,37 +95,28 @@ class CostModel:
         self.use_collection_costing = use_collection_costing
         #: Memo of routing set -> scoped CostModel (shares parameters).
         self._scoped: Dict[Tuple[str, ...], "CostModel"] = {}
-        #: Memo of pattern -> matching collections (None = conservative
-        #: "every collection" for summary-unsafe shapes).
-        self._pattern_routes: Dict[PathPattern, Optional[FrozenSet[str]]] = {}
+        #: Memo of read pattern -> matching collections.
+        self._pattern_routes: Dict[PathPattern, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------
     # Structural routing
     # ------------------------------------------------------------------
-    def collections_for_pattern(self, pattern: PathPattern
-                                ) -> Optional[FrozenSet[str]]:
-        """The collections whose synopsis ``pattern`` can match.
+    def collections_for_pattern(self, pattern: PathPattern) -> FrozenSet[str]:
+        """The collections whose synopsis read pattern ``pattern`` can
+        match.
 
-        Summary-safe patterns are decided by strict pattern matching
-        over each collection's path synopsis.  Summary-unsafe ``//``
-        shapes -- where a descendant step can match its own context --
-        are decided by the *loose* matcher
-        (:meth:`~repro.xpath.patterns.PathPattern.matches_evaluator`),
+        Decided by the loose matcher
+        (:meth:`~repro.storage.statistics.DatabaseStatistics.paths_matching_evaluator`),
         which implements the interpreter's (and the columnar store's)
-        exact descendant-or-self semantics per simple path, so routing
-        stays sound without widening to every collection.
+        exact descendant-or-self semantics per simple path: a ``//``
+        step that can match its own context routes exactly instead of
+        widening to every collection.
         """
         cached = self._pattern_routes.get(pattern)
-        if cached is None and pattern not in self._pattern_routes:
-            if pattern_summary_safe(pattern):
-                cached = frozenset(
-                    name for name, stats in self.statistics.collection_stats.items()
-                    if stats.paths_matching(pattern))
-            else:
-                cached = frozenset(
-                    name for name, stats in self.statistics.collection_stats.items()
-                    if any(pattern.matches_evaluator(path)
-                           for path in stats.path_stats))
+        if cached is None:
+            cached = frozenset(
+                name for name, stats in self.statistics.collection_stats.items()
+                if stats.paths_matching_evaluator(pattern))
             self._pattern_routes[pattern] = cached
         return cached
 
@@ -148,8 +138,6 @@ class CostModel:
             routed: Optional[FrozenSet[str]] = None  # None = universe
             for predicate in query.predicates:
                 matched = self.collections_for_pattern(predicate.pattern)
-                if matched is None:
-                    continue
                 routed = matched if routed is None else (routed & matched)
                 if not routed:
                     return ()
@@ -162,18 +150,14 @@ class CostModel:
         union: set = set()
         for pattern in patterns:
             if query.is_update:
-                # Updates are costed purely by pattern matching over
-                # the synopsis (they never run through the executor's
-                # interpretive paths), so the summary-safety guard does
-                # not apply: match the pattern against each collection's
-                # paths directly.
+                # Updates are costed purely by index-pattern matching
+                # over the synopsis (they never run through the
+                # executor), so they route by the strict matcher.
                 matched = frozenset(
                     name for name, stats in names.items()
                     if stats.paths_matching(pattern))
             else:
                 matched = self.collections_for_pattern(pattern)
-            if matched is None:
-                return None
             union.update(matched)
         if len(union) >= len(names):
             return None

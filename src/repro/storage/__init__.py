@@ -5,23 +5,23 @@ This package stands in for DB2's pureXML storage layer.  It provides:
 * :class:`~repro.storage.document_store.XmlCollection` and
   :class:`~repro.storage.document_store.XmlDatabase` -- named collections
   of XML documents (the analogue of tables with an XML column);
-* :class:`~repro.storage.path_summary.PathSummary` -- the structural
-  path index: one O(nodes) pass maps every distinct rooted simple path
-  to its element/attribute nodes per document.  Statistics collection,
-  physical index materialization and the executor's document-scan path
-  all share this summary instead of re-walking the node trees;
+* :class:`~repro.storage.columnar.ColumnarStore` -- the one structural
+  representation of a collection: one O(nodes) pass lays its documents
+  out as pre/post columns with per-path postings.  Query execution,
+  physical index materialization and statistics collection all read it
+  instead of re-walking the node trees;
 * :class:`~repro.storage.statistics.DatabaseStatistics` -- the per-path
   synopsis (cardinalities, distinct values, value ranges, key widths)
   that RUNSTATS would gather and that both the optimizer's cost model and
   the advisor's index-size estimation read.  It is derived from the
-  path summary and invalidated alongside it on document add/remove;
+  columnar store and maintained alongside it on document add/remove;
 * :class:`~repro.storage.catalog.Catalog` -- the system catalog holding
   physical and *virtual* index definitions.  Virtual indexes are the
   paper's central mechanism: they exist only in the catalog so the
   optimizer can enumerate and cost hypothetical configurations;
 * :mod:`repro.storage.maintenance` -- delta-propagation maintenance:
   document change captured as per-path node-group deltas that the
-  summary, the statistics accumulator, physical indexes and the
+  columnar store, the statistics accumulator, physical indexes and the
   optimizer/advisor invalidation layers consume instead of tearing
   derived state down (see the module docstring for the contract);
 * :mod:`repro.storage.pages` -- page-size accounting shared by the cost
@@ -39,13 +39,11 @@ from repro.storage.maintenance import (
     compute_document_delta,
 )
 from repro.storage.pages import PAGE_SIZE_BYTES, bytes_to_pages, pages_to_bytes
-from repro.storage.path_summary import PathSummary, build_path_summary
 from repro.storage.statistics import (
     DatabaseStatistics,
     PathStatistics,
     StatisticsAccumulator,
     collect_statistics,
-    collect_statistics_from_summary,
 )
 
 __all__ = [
@@ -59,15 +57,12 @@ __all__ = [
     "DocumentDelta",
     "PAGE_SIZE_BYTES",
     "PathStatistics",
-    "PathSummary",
     "StatisticsAccumulator",
     "StorageError",
     "XmlCollection",
     "XmlDatabase",
-    "build_path_summary",
     "bytes_to_pages",
     "collect_statistics",
-    "collect_statistics_from_summary",
     "compute_document_delta",
     "pages_to_bytes",
 ]

@@ -187,8 +187,8 @@ class Catalog:
     def mark_index_unusable(self, name: str, reason: str) -> None:
         """Record that ``name``'s physical structure cannot be served
         (probe raised, journal catch-up and rebuild both failed).  The
-        executor plans around unusable indexes via the summary-scan
-        path until :meth:`clear_index_unusable` (a successful repair)."""
+        executor plans around unusable indexes via document scans
+        until :meth:`clear_index_unusable` (a successful repair)."""
         if name not in self._physical:
             raise CatalogError(f"unknown index {name!r}")
         self._unusable[name] = reason

@@ -32,8 +32,7 @@ instead: for a linear pattern, a node's membership in the interpreter's
 result depends only on its simple path, so the store matches the
 pattern against the path table with
 :meth:`~repro.xpath.patterns.PathPattern.matches_evaluator` (exact
-``//`` descendant-or-self semantics -- no ``pattern_summary_safe``
-widening) and unions pre-sorted postings.
+``//`` descendant-or-self semantics) and unions pre-sorted postings.
 
 On top of the values column sits the *set-at-a-time predicate engine*:
 per path, a lazy snapshot-memoized value projection (the postings
@@ -46,13 +45,20 @@ Value extraction for value-only consumers reads the flat values column
 in document order (:meth:`ColumnarStore.values_for_documents`: one
 call per collection, a forward cursor per postings array).
 
-Maintenance mirrors :class:`~repro.storage.path_summary.PathSummary`:
-the store is immutable once built and is replaced through
-:meth:`apply_delta` under the existing
+The store is the collection's one structural representation: besides
+the executor, physical index builds read its strict-pattern postings
+(:meth:`iter_strict_pattern_nodes`) and the statistics synopsis is
+collected from its per-path document groups (:meth:`path_groups`).
+
+Maintenance: the store is immutable once built and is replaced through
+:meth:`apply_delta` under the
 :class:`~repro.storage.maintenance.CollectionDelta` machinery -- an
 insert renumbers one document's slab and splices it in, a delete is one
 filtered pass -- the same contract as
-``PhysicalPathIndex.apply_collection_delta``.
+``PhysicalPathIndex.apply_collection_delta``.  The distinct-path table
+is append-only (so pattern memos survive removals); a path whose last
+document is removed keeps its entry with empty postings, and every
+path-level answer counts only paths with live postings.
 """
 
 from __future__ import annotations
@@ -348,10 +354,10 @@ class ColumnarStore:
     def apply_delta(self, delta: "CollectionDelta") -> "ColumnarStore":
         """A new store with ``delta`` applied (this one is unchanged).
 
-        Same contract as ``PhysicalPathIndex.apply_collection_delta``
-        and :meth:`PathSummary.apply_delta`: the result is byte-identical
-        to rebuilding from the post-change documents, and untouched
-        postings arrays are structurally shared with the predecessor.
+        Same contract as ``PhysicalPathIndex.apply_collection_delta``:
+        the result is byte-identical to rebuilding from the post-change
+        documents, and untouched postings arrays are structurally shared
+        with the predecessor.
         """
         if delta.is_add:
             return self._with_document_added(delta.document)
@@ -503,8 +509,10 @@ class ColumnarStore:
 
     @property
     def distinct_paths(self) -> List[str]:
-        """The distinct simple paths ever seen, sorted."""
-        return sorted(self._paths)
+        """The distinct simple paths some document carries, sorted (table
+        entries whose postings emptied on removal are not counted)."""
+        return sorted(path for pid, path in enumerate(self._paths)
+                      if self._postings[pid])
 
     @property
     def nbytes(self) -> float:
@@ -553,7 +561,7 @@ class ColumnarStore:
 
     def describe(self) -> str:
         return (f"columnar store: {self.document_count} document(s), "
-                f"{self.node_count} nodes, {len(self._paths)} paths, "
+                f"{self.node_count} nodes, {len(self.distinct_paths)} paths, "
                 f"{self.nbytes:.0f} bytes")
 
     # ------------------------------------------------------------------
@@ -568,11 +576,6 @@ class ColumnarStore:
                         if match(path))
             memo[pattern] = ids
         return ids
-
-    def paths_matching(self, pattern: PathPattern) -> Tuple[str, ...]:
-        """Distinct paths matched under evaluator semantics (memoized)."""
-        return tuple(self._paths[pid]
-                     for pid in self._paths_for(pattern, strict=False))
 
     def _doc_slice(self, doc_id: Optional[int]) -> Optional[Tuple[int, int]]:
         if doc_id is None:
@@ -636,6 +639,26 @@ class ColumnarStore:
                 while position >= bounds[doc][1]:
                     doc += 1
                 yield doc, self._nodes[position]
+
+    def path_groups(self) -> Iterator[Tuple[str, List[List[XmlNode]]]]:
+        """Every entry of the distinct-path table with its nodes grouped
+        per document (documents in key order, nodes in document order);
+        an entry whose postings emptied on removal has no groups.  What
+        statistics collection reads."""
+        starts = self._doc_start_index()
+        bounds = self._doc_bounds
+        nodes = self._nodes
+        for pid, path in enumerate(self._paths):
+            arr = self._postings[pid]
+            groups: List[List[XmlNode]] = []
+            index = 0
+            total = len(arr)
+            while index < total:
+                doc = bisect_right(starts, arr[index]) - 1
+                end = bisect_left(arr, bounds[doc][1], index + 1)
+                groups.append([nodes[p] for p in arr[index:end]])
+                index = end
+            yield path, groups
 
     # ------------------------------------------------------------------
     # Vectorized value predicates (the set-at-a-time engine)

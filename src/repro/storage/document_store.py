@@ -6,12 +6,16 @@ column: a bag of documents plus the statistics gathered over them.  An
 :class:`~repro.storage.catalog.Catalog`; it is the object the optimizer,
 the advisor, and the executor are handed.
 
+Each collection keeps one structural representation of its documents,
+the columnar store (:class:`~repro.storage.columnar.ColumnarStore`):
+queries, physical index builds and statistics collection all read it.
+
 Data change is propagated as a *delta*: every document add/remove
 captures the document's per-path node groups once
 (:func:`~repro.storage.maintenance.compute_document_delta`), folds them
-into the cached path summary, columnar store and statistics accumulator
-instead of dropping them for a rebuild, and journals the delta so
-detached consumers (the executor's materialized indexes) can catch up.
+into the cached columnar store and statistics accumulator instead of
+dropping them for a rebuild, and journals the delta so detached
+consumers (the executor's materialized indexes) can catch up.
 In-place edits (:meth:`XmlCollection.invalidate_statistics`) cannot be
 expressed as a delta: they drop the derived state and break the journal.
 """
@@ -42,7 +46,6 @@ from repro.storage.maintenance import (
     compute_document_delta,
 )
 from repro.storage.columnar import ColumnarStore, build_columnar_store
-from repro.storage.path_summary import PathSummary, build_path_summary
 from repro.storage.statistics import (
     DatabaseStatistics,
     StatisticsAccumulator,
@@ -56,8 +59,6 @@ class StorageError(Exception):
 
 
 @cache_contract(memos={
-    "_summary": {"policy": "push", "readers": ("path_summary",),
-                 "refreshers": ("_apply_delta", "_invalidate_derived")},
     "_statistics": {"policy": "push", "readers": ("statistics",),
                     "refreshers": ("_apply_delta", "_invalidate_derived")},
     "_accumulator": {"policy": "push", "readers": ("statistics",),
@@ -79,7 +80,6 @@ class XmlCollection:
         self.delta_log_capacity = delta_log_capacity
         self._documents: List[DocumentNode] = []
         self._statistics: Optional[DatabaseStatistics] = None
-        self._summary: Optional[PathSummary] = None
         self._accumulator: Optional[StatisticsAccumulator] = None
         self._columnar: Optional[ColumnarStore] = None
         self._delta_log = DeltaLog(capacity=delta_log_capacity)
@@ -126,8 +126,6 @@ class XmlCollection:
 
     def _apply_delta(self, delta: CollectionDelta) -> None:
         """Fold one add/remove into the cached derived state and journal it."""
-        if self._summary is not None:
-            self._summary = self._summary.apply_delta(delta)
         if self._columnar is not None:
             self._columnar = self._columnar.apply_delta(delta)
         if self._accumulator is not None:
@@ -138,14 +136,13 @@ class XmlCollection:
         self._notify_change()
 
     def _invalidate_derived(self) -> None:
-        """Drop the cached statistics and path summary; bump the version.
+        """Drop the cached statistics and columnar store; bump the version.
 
         This is the full-rebuild path: it also breaks the delta journal,
         because in-place edits cannot be replayed -- consumers that ask
         for deltas across this point get ``None`` and rebuild.
         """
         self._statistics = None
-        self._summary = None
         self._accumulator = None
         self._columnar = None
         self._version += 1
@@ -215,62 +212,54 @@ class XmlCollection:
 
     # ------------------------------------------------------------------
     @property
-    def path_summary(self) -> PathSummary:
-        """The structural path summary (built lazily in one O(nodes) pass).
-
-        The cached summary is *replaced* -- not rebuilt -- on document
-        add/remove via
-        :meth:`~repro.storage.path_summary.PathSummary.apply_delta`, so
-        consumers must re-fetch per use instead of holding one across
-        updates.
-        """
-        if self._summary is None:
-            summary = build_path_summary(self._documents)
-            # Publication seam: a persistent injected fault raises here,
-            # before the cache assignment, so a failed publish leaves the
-            # memo empty (crash-safe) rather than half-published.
-            guarded_fault_point("snapshot.publish")
-            self._summary = summary
-        return self._summary
-
-    @property
     def columnar_store(self) -> ColumnarStore:
         """The columnar pre/post encoding of this collection (lazy).
 
-        Maintained exactly like :attr:`path_summary`: the cached store
-        is *replaced* on document add/remove via
-        :meth:`~repro.storage.columnar.ColumnarStore.apply_delta`.
-        Consumers must re-fetch per use instead of holding one across
+        The cached store is *replaced* -- not rebuilt -- on document
+        add/remove via
+        :meth:`~repro.storage.columnar.ColumnarStore.apply_delta`, so
+        consumers must re-fetch per use instead of holding one across
         updates.
         """
         if self._columnar is None:
             store = build_columnar_store(self._documents)
-            # Publication seam, as for the path summary: a persistent
-            # injected fault raises before the cache assignment.
+            # Publication seam: a persistent injected fault raises here,
+            # before the cache assignment, so a failed publish leaves the
+            # memo empty (crash-safe) rather than half-published.
             guarded_fault_point("snapshot.publish")
             self._columnar = store
         return self._columnar
 
     @property
+    def path_summary(self) -> ColumnarStore:
+        """The columnar store under its old name.
+
+        Exists only because the E0 benchmark calls it
+        (``bench/pipeline.py:195`` and ``bench/check.py:109``); it goes
+        with those calls.
+        """
+        return self.columnar_store
+
+    @property
     def statistics(self) -> DatabaseStatistics:
         """The path synopsis for this collection (collected lazily, cached).
 
-        Derived from :attr:`path_summary`, so statistics collection and
-        structural lookups share a single traversal of the documents.
-        The synopsis is snapshotted from a delta-maintained accumulator
+        Derived from :attr:`columnar_store`, so statistics collection and
+        query execution share one traversal of the documents.  The
+        synopsis is snapshotted from a delta-maintained accumulator
         (O(distinct paths)) instead of recollected from all nodes.
         """
         if self._statistics is None:
             if self._accumulator is None:
-                accumulator = StatisticsAccumulator.from_summary(
-                    self.path_summary)
+                accumulator = StatisticsAccumulator.from_store(
+                    self.columnar_store)
                 guarded_fault_point("stats.rebuild")
                 self._accumulator = accumulator
             self._statistics = self._accumulator.snapshot()
         return self._statistics
 
     def invalidate_statistics(self) -> None:
-        """Force statistics and the path summary to be re-collected
+        """Force statistics and the columnar store to be re-collected
         (after bulk in-place document edits)."""
         self._invalidate_derived()
 
@@ -407,7 +396,7 @@ class XmlDatabase:
         return self._merged_statistics
 
     def invalidate_statistics(self) -> None:
-        """Invalidate cached statistics (and path summaries) on the
+        """Invalidate cached statistics (and columnar stores) on the
         database and all collections."""
         self._merged_statistics = None
         self._merged_signature = None

@@ -1,7 +1,7 @@
 """Delta-propagation maintenance: document change as a first-class delta.
 
 Before this module existed, every document add/remove was a teardown:
-the collection dropped its path summary and statistics, physical indexes
+the collection dropped its derived state and statistics, physical indexes
 were rebuilt from scratch, and the optimizer plan cache and the
 advisor's evaluator discarded all state whenever ``data_signature()``
 moved.  The paper's advisor targets *evolving* databases, so data change
@@ -9,10 +9,10 @@ is now modelled as a delta that flows through the stack instead of a
 global cache flush:
 
 * :class:`DocumentDelta` -- one document's per-path node groups, computed
-  in the same O(nodes) pass shape the summary build uses.  It is the
-  unit every consumer understands: the summary merges or retracts it,
-  the statistics accumulator adjusts its synopses from it, and physical
-  indexes derive the entries to insert or delete from it.
+  in one O(document nodes) pass.  It is the unit every consumer
+  understands: the columnar store splices or retracts the document's
+  slab, the statistics accumulator adjusts its synopses from it, and
+  physical indexes derive the entries to insert or delete from it.
 * :class:`CollectionDelta` -- a :class:`DocumentDelta` plus the operation
   (add/remove) and the collection version it produced.  Removals imply a
   *document-key shift*: the store reassigns the ids of later documents,
@@ -89,10 +89,9 @@ class DocumentDelta:
     """One document's contribution to a collection's derived state.
 
     ``path_groups`` maps each distinct simple path in the document to
-    its element/attribute nodes in document order -- exactly the groups
-    :meth:`~repro.storage.path_summary.PathSummary.add_document` would
-    have produced for the document, captured once and shared by every
-    consumer (summary merge, statistics adjustment, index maintenance).
+    its element/attribute nodes in document order, captured once and
+    shared by every consumer (store splice, statistics adjustment,
+    index maintenance).
     """
 
     doc_key: int
@@ -134,8 +133,7 @@ def compute_document_delta(document: DocumentNode,
                            doc_key: Optional[int] = None) -> DocumentDelta:
     """Capture ``document``'s per-path node groups in one O(nodes) pass.
 
-    This is the same traversal the path summary's ``add_document``
-    performs; capturing it as a delta lets the summary, the statistics
+    Capturing it as a delta lets the columnar store, the statistics
     accumulator, and every physical index consume one pass instead of
     re-walking the tree each.
     """

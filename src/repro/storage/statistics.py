@@ -13,10 +13,10 @@ collection is O(total nodes).  The merged snapshot keeps each
 collection's sub-synopsis addressable (:attr:`DatabaseStatistics.collection_stats`)
 so the collection-scoped cost model can route queries to -- and merge
 statistics over -- exactly the collections their patterns can match
-(:meth:`DatabaseStatistics.merged_over`).  Collection no longer walks the node trees
-itself: it derives the synopsis from the collection's structural
-:class:`~repro.storage.path_summary.PathSummary`, so statistics, index
-builds and scan execution all share one traversal of the data.
+(:meth:`DatabaseStatistics.merged_over`).  Collection does not walk the
+node trees itself: it derives the synopsis from the collection's
+:class:`~repro.storage.columnar.ColumnarStore` postings, so statistics,
+index builds and query execution all share one traversal of the data.
 
 Incremental maintenance: the traversal feeds a
 :class:`StatisticsAccumulator` -- per-path value/numeric multisets plus
@@ -46,7 +46,12 @@ from typing import (
 )
 
 from repro.contracts import builder, cache_contract, snapshot_contract
-from repro.storage.path_summary import PathSummary, build_path_summary
+from repro.storage.columnar import (
+    COLUMNAR_NODE_BYTES,
+    NUMERIC_PROJECTION_ENTRY_BYTES,
+    ColumnarStore,
+    build_columnar_store,
+)
 from repro.xmldb.nodes import (
     DocumentNode,
     NodeKind,
@@ -133,10 +138,11 @@ class PathStatistics:
 
 @snapshot_contract(builders=("merge", "copy", "merged_over"),
                    mutators=("merge",),
-                   memo_attrs=("_match_cache", "size_cache",
-                               "_routing_cache"))
+                   memo_attrs=("_match_cache", "_evaluator_match_cache",
+                               "size_cache", "_routing_cache"))
 @cache_contract(memos={
     "_match_cache": {"policy": "object-keyed"},
+    "_evaluator_match_cache": {"policy": "object-keyed"},
     "size_cache": {"policy": "object-keyed"},
     "_routing_cache": {"policy": "object-keyed"},
 })
@@ -153,6 +159,10 @@ class DatabaseStatistics:
     #: of size estimation and cost modelling).  Not part of equality.
     _match_cache: Dict[PathPattern, List[str]] = field(default_factory=dict,
                                                        repr=False, compare=False)
+    #: The same memo under the interpreter's descendant-or-self semantics
+    #: (what read-query routing asks).  Not part of equality.
+    _evaluator_match_cache: Dict[PathPattern, List[str]] = field(
+        default_factory=dict, repr=False, compare=False)
     #: Memo of index key -> estimated size in bytes, maintained by
     #: :mod:`repro.index.sizing`.  Lives and dies with this statistics
     #: object (statistics are rebuilt, not mutated, on data changes) and
@@ -195,6 +205,18 @@ class DatabaseStatistics:
         if cached is None:
             cached = [path for path in self.path_stats if pattern.matches(path)]
             self._match_cache[pattern] = cached
+        return cached
+
+    def paths_matching_evaluator(self, pattern: PathPattern) -> List[str]:
+        """The distinct paths ``pattern`` matches under the interpreter's
+        descendant-or-self semantics
+        (:meth:`~repro.xpath.patterns.PathPattern.matches_evaluator`;
+        memoized)."""
+        cached = self._evaluator_match_cache.get(pattern)
+        if cached is None:
+            cached = [path for path in self.path_stats
+                      if pattern.matches_evaluator(path)]
+            self._evaluator_match_cache[pattern] = cached
         return cached
 
     def cardinality(self, pattern: PathPattern) -> int:
@@ -303,10 +325,6 @@ class DatabaseStatistics:
         estimates and the tuning controller's ``build_budget_bytes``
         consult it so the encoding's real footprint is accounted for.
         """
-        from repro.storage.columnar import (
-            COLUMNAR_NODE_BYTES,
-            NUMERIC_PROJECTION_ENTRY_BYTES,
-        )
         stored_nodes = self.total_node_count - self.document_count
         value_bytes = sum(stat.total_value_bytes
                           for stat in self.path_stats.values())
@@ -353,6 +371,7 @@ class DatabaseStatistics:
     def merge(self, other: "DatabaseStatistics") -> None:
         """Fold another statistics object (e.g. another collection) into this one."""
         self._match_cache.clear()
+        self._evaluator_match_cache.clear()
         self.size_cache.clear()
         self.document_count += other.document_count
         self.total_node_count += other.total_node_count
@@ -387,27 +406,12 @@ def collect_statistics(documents: Iterable[DocumentNode]) -> DatabaseStatistics:
     element's indexable value, matching how leaf-value indexes behave);
     attribute paths record the attribute value.
 
-    The documents are summarized in one structural pass and the synopsis
-    is derived from the summary (see
-    :func:`collect_statistics_from_summary`).
+    The documents are encoded into a columnar store in one pass and the
+    synopsis is derived from its postings
+    (:meth:`StatisticsAccumulator.from_store`).
     """
-    return collect_statistics_from_summary(
-        build_path_summary(documents, renumber=True))
-
-
-def collect_statistics_from_summary(summary: PathSummary) -> DatabaseStatistics:
-    """Derive the path synopsis from an already-built structural summary.
-
-    This is the shared-traversal entry point: the collection builds its
-    :class:`~repro.storage.path_summary.PathSummary` once, and
-    statistics are computed from the summary's per-path node lists
-    without touching the document trees again (apart from reading each
-    node's direct text value).  The synopsis is produced by a
-    :class:`StatisticsAccumulator`, the same machinery the delta
-    maintenance path uses, so incremental and full collection cannot
-    diverge.
-    """
-    return StatisticsAccumulator.from_summary(summary).snapshot()
+    return StatisticsAccumulator.from_store(
+        build_columnar_store(documents)).snapshot()
 
 
 def _node_record_value(node: XmlNode) -> Tuple[str, int]:
@@ -506,7 +510,7 @@ class _PathAccumulator:
 class StatisticsAccumulator:
     """Retractable synopsis state for one collection.
 
-    Built once from a path summary (or empty), then kept current by
+    Built once from a columnar store (or empty), then kept current by
     absorbing :class:`~repro.storage.maintenance.CollectionDelta`
     operations in O(changed-document nodes); :meth:`snapshot` emits an
     immutable :class:`DatabaseStatistics` in O(distinct paths).
@@ -519,14 +523,18 @@ class StatisticsAccumulator:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_summary(cls, summary: PathSummary) -> "StatisticsAccumulator":
+    def from_store(cls, store: ColumnarStore) -> "StatisticsAccumulator":
+        """The accumulator of ``store``'s documents: per distinct path,
+        its nodes grouped per document, recorded by the same code the
+        delta path runs."""
         accumulator = cls()
-        accumulator.document_count = summary.document_count
-        paths = accumulator._paths
-        for path in summary.distinct_paths:
-            entry = paths[path] = _PathAccumulator()
-            for _doc_key, nodes in summary.doc_nodes_for_path(path).items():
-                entry.document_count += 1
+        accumulator.document_count = store.document_count
+        for path, groups in store.path_groups():
+            if not groups:
+                continue  # the path's last document was removed
+            entry = accumulator._paths[path] = _PathAccumulator()
+            entry.document_count = len(groups)
+            for nodes in groups:
                 for node in nodes:
                     accumulator.total_text_bytes += entry.add_node(node)
         return accumulator

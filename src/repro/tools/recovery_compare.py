@@ -19,7 +19,7 @@ Protocol (two identical databases, same tuning policy):
   until the catalog holds the same configuration with nothing pending.
 * **degraded-mode check** -- with the faulted database converged, one
   live index is marked unusable and every query re-executed: the
-  summary-scan fallback must return result counts identical to the
+  document-scan fallback must return result counts identical to the
   clean run (provably unchanged results), after which the repair path
   rebuilds the index and the final configurations are compared.
 
@@ -67,7 +67,7 @@ class RecoveryComparison:
     converged: bool
     #: Per-query result counts identical, clean vs faulted.
     results_identical: bool
-    #: Degraded-mode (summary-scan fallback) result counts identical to
+    #: Degraded-mode (document-scan fallback) result counts identical to
     #: the clean run while one index was unusable.
     fallback_identical: bool
     #: The repair path rebuilt the degraded index afterwards.

@@ -132,9 +132,9 @@ def compare_telemetry_modes(scale: float = 0.25, seed: int = 42,
     # how the environment armed the session.
     untraced = QueryExecutor(database, trace=False)
     traced = QueryExecutor(database, trace=True)
-    # Publish the lazy snapshots (summaries, columnar stores, value
-    # projections) outside the timed region: both modes measure
-    # steady-state execution, not builds.
+    # Publish the lazy snapshots (columnar stores, value projections)
+    # outside the timed region: both modes measure steady-state
+    # execution, not builds.
     untraced_results = _run_queries(untraced, queries)
     traced_results = _run_queries(traced, queries)
 

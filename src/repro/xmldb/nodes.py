@@ -236,8 +236,7 @@ class XmlNode:
         (``/site/regions/africa/item/@id``).  Text nodes share the path
         of their parent element.  The result is cached, and the parent's
         cached path is reused, so computing the paths of a whole document
-        (as statistics collection, path-summary construction and index
-        building do) is O(nodes) rather than O(nodes x depth).
+        (as columnar encoding, delta capture and index building do) is O(nodes) rather than O(nodes x depth).
         """
         if self._simple_path is not None:
             return self._simple_path

@@ -6,14 +6,9 @@ Two distinct but related artifacts live here:
   :mod:`repro.xpath.evaluator` -- a parser and evaluator for the XPath
   subset used by the workloads (child / descendant / attribute axes,
   wildcards, positional-free predicates with comparisons and a few
-  functions).  The evaluator is what the query executor runs for
-  residual predicates and unsupported path shapes.
-
-* :mod:`repro.xpath.compiler` -- lowers predicate-free and
-  simple-predicate location paths onto the structural
-  :class:`~repro.storage.path_summary.PathSummary` so the hot execution
-  paths answer them with dictionary lookups instead of tree walks,
-  with LRU caches for parsed and compiled expressions.
+  functions).  The evaluator is the executor's reference and its
+  degraded mode: it answers queries per document wherever a
+  collection's columnar store is not available.
 
 * :mod:`repro.xpath.patterns` -- *index patterns*: linear paths such as
   ``/site/regions/*/item/quantity`` or ``//keyword`` that define which
@@ -34,13 +29,6 @@ from repro.xpath.ast import (
     Predicate,
     Step,
 )
-from repro.xpath.compiler import (
-    CompiledXPath,
-    compile_pattern,
-    compile_xpath,
-    parse_xpath_cached,
-    pattern_summary_safe,
-)
 from repro.xpath.errors import XPathError, XPathParseError, XPathTypeError
 from repro.xpath.evaluator import XPathEvaluator, evaluate_path
 from repro.xpath.parser import parse_xpath
@@ -55,7 +43,6 @@ from repro.xpath.patterns import (
 __all__ = [
     "Axis",
     "BinaryOp",
-    "CompiledXPath",
     "ComparisonExpr",
     "FunctionCall",
     "Literal",
@@ -69,13 +56,9 @@ __all__ = [
     "XPathEvaluator",
     "XPathParseError",
     "XPathTypeError",
-    "compile_pattern",
-    "compile_xpath",
     "evaluate_path",
     "generalize_pair",
     "generalize_tail",
     "parse_xpath",
-    "parse_xpath_cached",
     "pattern_contains",
-    "pattern_summary_safe",
 ]

@@ -6,10 +6,10 @@ comparisons over node sets (as in XPath 1.0), and a small library of
 functions (``contains``, ``starts-with``, ``not``, ``count``,
 ``string``, ``number``, ``exists``).
 
-It is intentionally a straightforward interpreter -- the *optimizer* is
-the component that decides whether to answer a path from an index
-instead; when it does, the executor only uses the evaluator for residual
-predicates.
+It is intentionally a straightforward interpreter: the executor's
+engine answers queries from each collection's columnar store, and this
+evaluator is the reference it is tested against and the per-document
+mode a collection degrades to when its store cannot be published.
 """
 
 from __future__ import annotations
@@ -158,23 +158,14 @@ class XPathEvaluator:
                 if wildcard or attr.name == name_test:
                     yield attr
 
-    def passes_predicates(self, node: XmlNode,
-                          predicates: Sequence[Predicate]) -> bool:
-        """Does ``node`` satisfy every predicate (with itself as context)?
-
-        Public because the compiled path engine
-        (:mod:`repro.xpath.compiler`) delegates residual predicate
-        evaluation here after answering the path spine from the
-        structural summary.
-        """
+    def _passes_predicates(self, node: XmlNode,
+                           predicates: Sequence[Predicate]) -> bool:
+        """Does ``node`` satisfy every predicate (with itself as context)?"""
         for predicate in predicates:
             value = self._evaluate(predicate.expression, node)
             if not _to_boolean(value):
                 return False
         return True
-
-    # Backwards-compatible alias (pre-compiler internal name).
-    _passes_predicates = passes_predicates
 
     # ------------------------------------------------------------------
     # Comparisons

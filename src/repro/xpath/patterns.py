@@ -254,37 +254,36 @@ class PathPattern:
         return self._match_labels_evaluator(labels)
 
     def _match_labels_evaluator(self, labels: Sequence[str]) -> bool:
+        steps = self.steps
+        count = len(steps)
         states: Set[int] = {0}
         for label in labels:
             is_attribute = label.startswith("@")
             next_states: Set[int] = set()
             for state in states:
-                if state < len(self.steps):
-                    step = self.steps[state]
+                if state < count:
+                    step = steps[state]
                     if step.descendant and not is_attribute:
                         # ``//`` may skip this label entirely.
                         next_states.add(state)
                     if step.matches_label(label):
-                        next_states.add(state + 1)
-            if not is_attribute:
-                # Descendant-or-self closure: a following ``//`` element
-                # step may also match the label just consumed (its own
-                # context node).  Iterate to fixpoint so chains such as
-                # ``/a//a//a`` accept ``/a``.
-                frontier = list(next_states)
-                while frontier:
-                    state = frontier.pop()
-                    if state < len(self.steps):
-                        step = self.steps[state]
-                        if step.descendant and not step.is_attribute \
-                                and step.matches_label(label):
-                            if state + 1 not in next_states:
-                                next_states.add(state + 1)
-                                frontier.append(state + 1)
+                        state += 1
+                        next_states.add(state)
+                        # Descendant-or-self closure: a following ``//``
+                        # element step may also match the label just
+                        # consumed (its own context node), down chains
+                        # such as ``/a//a//a`` accepting ``/a``.  Only a
+                        # consumed label starts a chain: a state that
+                        # skipped the label consumes it here too.
+                        while (not is_attribute and state < count
+                               and steps[state].descendant
+                               and steps[state].matches_label(label)):
+                            state += 1
+                            next_states.add(state)
             states = next_states
             if not states:
                 return False
-        return len(self.steps) in states
+        return count in states
 
     # ------------------------------------------------------------------
     # Containment and equivalence

@@ -38,7 +38,7 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "bench_smoke: env-capped benchmark smoke checks (perf regressions in "
-        "the structural path-summary subsystem); deselect with -m 'not bench_smoke'")
+        "the columnar scan engine); deselect with -m 'not bench_smoke'")
 
 
 @pytest.fixture

@@ -3,15 +3,15 @@
 The real experiment benchmarks (``benchmarks/bench_e*.py``) run at
 scales that take tens of seconds.  These smoke checks exercise the same
 measurement paths at tiny, environment-overridable sizes so a perf
-regression in the structural path-summary subsystem fails the ordinary
-test run within a couple of seconds.
+regression in the columnar scan engine fails the ordinary test run
+within a couple of seconds.
 
 Sizes are capped by environment variables:
 
 ``REPRO_SMOKE_XMARK_SCALE``
     XMark database scale for the smoke run (default ``0.05``).
 ``REPRO_SMOKE_MIN_SPEEDUP``
-    Minimum accepted scan-vs-summary speedup (default ``1.5``; the full
+    Minimum accepted interpreter-vs-engine scan speedup (default ``1.5``; the full
     benchmarks assert >= 5x at their larger scales, the smoke floor is
     deliberately conservative because tiny runs on loaded or
     instrumented CI are noisy -- a genuine subsystem regression drops
@@ -80,28 +80,28 @@ def smoke_workload():
 
 
 def test_smoke_summary_scan_faster_and_equivalent(smoke_db, smoke_workload):
-    """The structural-summary scan must beat the interpretive scan and
+    """The columnar engine's scan must beat the interpretive scan and
     return identical per-query result counts (E5b at smoke scale)."""
     best_speedup = 0.0
     for _ in range(3):  # best-of-3 damps scheduler noise on tiny runs
         measurements = measure_scan_modes(smoke_db, smoke_workload)
         interpretive = measurements["scan-interpretive"]
-        summary = measurements["scan-summary"]
-        for interp_row, summary_row in zip(interpretive.per_query,
-                                           summary.per_query):
-            assert interp_row.result_count == summary_row.result_count
-        if summary.total_seconds > 0:
+        engine = measurements["scan-engine"]
+        for interp_row, engine_row in zip(interpretive.per_query,
+                                          engine.per_query):
+            assert interp_row.result_count == engine_row.result_count
+        if engine.total_seconds > 0:
             best_speedup = max(best_speedup,
-                               interpretive.total_seconds / summary.total_seconds)
+                               interpretive.total_seconds / engine.total_seconds)
         else:
             best_speedup = float("inf")
     assert best_speedup >= MIN_SPEEDUP, (
-        f"structural-summary scan speedup regressed: best-of-3 "
+        f"engine scan speedup regressed: best-of-3 "
         f"{best_speedup:.2f}x < {MIN_SPEEDUP:.1f}x at scale {SMOKE_SCALE}")
 
 
 def test_smoke_index_measurement_consistent(smoke_db, smoke_workload):
-    """measure_workload still agrees between scan and summary-backed
+    """measure_workload still agrees between scan and index-plan
     residual evaluation at smoke scale (E5 shape, no recommendation)."""
     from repro.index.definition import IndexConfiguration, IndexDefinition
     from repro.xquery.model import ValueType

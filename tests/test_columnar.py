@@ -9,7 +9,7 @@ Four contracts are covered:
   rebuilds across randomized interleaved adds/removes (the
   ``PhysicalPathIndex.apply_collection_delta`` contract);
 * **equivalence** -- identical results and extraction streams from the
-  columnar engine and the per-document summary path a degraded store
+  columnar engine and the per-document interpreter a degraded store
   falls back to (``use_columnar=False``), index structures equal to an
   interpreter walk of the documents, with zero interpretive spine
   fallbacks on the columnar path (descendant-heavy ``//`` queries
@@ -42,7 +42,7 @@ from _support import (
 from repro.advisor.advisor import XmlIndexAdvisor
 from repro.advisor.config import AdvisorParameters
 from repro.executor.executor import QueryExecutor
-from repro.faults import FaultPlan, inject
+from repro.faults import FaultPlan, FaultRule, inject
 from repro.index.definition import IndexDefinition
 from repro.index.physical import build_physical_index
 from repro.optimizer.optimizer import Optimizer
@@ -64,17 +64,18 @@ from repro.workloads.xmark import (
 )
 from repro.xmldb.nodes import normalized_node_value
 from repro.xmldb.serializer import serialize
-from repro.xpath.compiler import compile_xpath, pattern_summary_safe
 from repro.xpath.evaluator import XPathEvaluator
 from repro.xpath.parser import parse_xpath
+from repro.xpath.patterns import PathPattern
 from repro.xquery.model import ValueType, Workload
 from repro.xquery.normalizer import normalize_statement, normalize_workload
 
 TESTS = str(Path(__file__).parent)
 SRC = str(Path(__file__).parent.parent / "src")
 
-#: Linear spines exercised against the store -- summary-safe shapes and
-#: the summary-unsafe ``//`` shapes that used to force the interpreter.
+#: Linear spines exercised against the store -- plain shapes and the
+#: ``//`` shapes whose step can match its own context (``/site//*``
+#: selects ``/site`` under descendant-or-self semantics).
 SPINES = [
     "/site/regions/africa/item",
     "/site/regions/*/item/name",
@@ -91,12 +92,6 @@ SPINES = [
 #: Descendant-heavy navigation statements for executor equivalence.
 UNSAFE_QUERIES = ["/site//*", "/site/regions//*", "/site//item//name",
                   "/FIXML//*", "//Order//*"]
-
-
-def _pattern(text: str):
-    compiled = compile_xpath(text)
-    assert compiled.columnar_pattern is not None, text
-    return compiled.columnar_pattern
 
 
 def _coresident_database(xmark_scale: float = 0.03, tpox_scale: float = 0.05,
@@ -154,7 +149,7 @@ class TestEncoding:
         database = build_varied_database(documents=6, name="col-axis")
         store = database.collection("site").columnar_store
         for text in SPINES:
-            pattern = _pattern(text)
+            pattern = PathPattern.parse(text)
             positions = list(store.select_positions(pattern))
             assert positions == sorted(positions), text  # document order
             structural = [store.node_at(p).node_id for p in positions]
@@ -167,7 +162,7 @@ class TestEncoding:
         collection = database.collection("site")
         store = collection.columnar_store
         for text in SPINES:
-            pattern = _pattern(text)
+            pattern = PathPattern.parse(text)
             for doc_id, document in enumerate(collection):
                 expected = sorted(node.node_id for node in
                                   _interpreter_nodes(document, text))
@@ -203,7 +198,7 @@ class TestMaintenance:
         reserve = [serialize(d) for d in donor.collection("site").documents]
         assert collection.columnar_store is not None  # force + maintain
         rng = random.Random(seed * 7)
-        patterns = [_pattern(text) for text in SPINES]
+        patterns = [PathPattern.parse(text) for text in SPINES]
         for step in range(14):
             if reserve and (len(collection) < 2 or rng.random() < 0.6):
                 collection.add_document(reserve.pop())
@@ -272,8 +267,9 @@ class TestExecutorEquivalence:
         assert_counter_parity(legacy, EXECUTOR_COUNTERS)
 
     def test_legacy_interpretive_mode_stays_interpretive(self):
-        # ``use_path_summary=False`` benchmarks the object-tree path;
-        # the columnar engine must not silently activate under it.
+        # ``use_path_summary=False`` (what the E0 checker passes)
+        # selects the interpreter: the columnar engine must not
+        # silently activate under it.
         database = build_varied_database(documents=4, name="col-legacy")
         executor = QueryExecutor(database, use_path_summary=False)
         assert executor._columnar_for("site") is None
@@ -281,9 +277,10 @@ class TestExecutorEquivalence:
         assert result.result_count == 1
 
     def test_index_builds_byte_identical(self):
-        # Oracle: the interpreter's node set per document (these
-        # patterns are summary-safe, so evaluator and strict index
-        # semantics coincide), keyed by the node's normalized value.
+        # Oracle: the interpreter's node set per document (no step of
+        # these patterns can match its own context, so evaluator and
+        # strict index semantics coincide), keyed by the node's
+        # normalized value.
         database = _coresident_database()
         for text, value_type in [("//item/payment", ValueType.VARCHAR),
                                  ("/site/regions/*/item/quantity",
@@ -311,13 +308,15 @@ class TestExecutorEquivalence:
             assert keys == sorted(keys)
 
     def test_routing_shrinks_for_unsafe_queries(self):
-        # The PR 8 regression: summary-unsafe ``//`` reads used to route
-        # to *all* collections; with exact columnar matching the scan
-        # only visits the matching ones.
+        # The routing regression: ``//`` reads whose step can match its own
+        # context used to route to *all* collections; with exact
+        # descendant-or-self matching the scan only visits the matching
+        # ones.
         database = _coresident_database()
         executor = QueryExecutor(database, use_columnar=True)
         query = normalize_statement("/site//*")
-        assert not pattern_summary_safe(_pattern("/site//*"))
+        pattern = PathPattern.parse("/site//*")
+        assert pattern.matches_evaluator("/site") and not pattern.matches("/site")
         plan = executor.optimizer.optimize(query, candidate_indexes=[])
         assert plan.routing == ("xmark",)
         result = executor.execute(query)
@@ -398,22 +397,25 @@ class TestExecutorEquivalence:
 class TestDegradedMode:
     def test_persistent_publish_fault_degrades_to_interpreter(self):
         database = build_varied_database(documents=6, name="col-fault")
-        interpreter = QueryExecutor(database, use_path_summary=False)
-        clean = interpreter.execute("/site//*", extract_values=True)
-        # Planning the reference run published the summary and statistics
-        # snapshots; the columnar build is now the next
-        # ``snapshot.publish`` hit.
         executor = QueryExecutor(database)
-        with inject(FaultPlan.fail_hit("snapshot.publish", hit=1)):
+        # Statistics are collected from the store, so the first
+        # ``snapshot.publish`` hit is the planner's statistics build (the
+        # executor falls back to an unplanned full scan) and the second
+        # is the scan's own store fetch.
+        plan = FaultPlan(rules=(FaultRule(site="snapshot.publish",
+                                          hits=(1, 2), transient=False),))
+        with inject(plan):
             degraded = executor.execute("/site//*", extract_values=True,
                                         trace=True)
+        clean = QueryExecutor(database, use_columnar=False).execute(
+            "/site//*", extract_values=True)
         assert degraded.result_count == clean.result_count
         assert degraded.extracted_values == clean.extracted_values
         assert any("columnar store" in event
                    for event in executor.fallback_events)
         assert executor.interpretive_spine_fallbacks > 0
-        # The span says what ran: the summary path, not the store.
-        assert degraded.trace.find("scan").attrs["engines"] == ["summary"]
+        # The span says what ran: the interpreter, not the store.
+        assert degraded.trace.find("scan").attrs["engines"] == ["interpreter"]
         # The fault was not published into the cache: the next execution
         # rebuilds the store and runs columnar again.
         after = executor.execute("/site//*", extract_values=True, trace=True)

@@ -185,8 +185,7 @@ class TestLiveTree:
         assert "QueryPlan" in context.snapshots
         hatch_names = {hatch.name for hatch in context.hatches}
         assert hatch_names == {
-            "use_path_summary", "use_columnar",
-            "use_incremental", "use_collection_costing",
+            "use_columnar", "use_incremental", "use_collection_costing",
         }
         assert "repro.tuning" in context.deterministic_packages
         assert "index.build" in context.sites

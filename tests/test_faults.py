@@ -402,7 +402,7 @@ class TestDegradedMode:
         name = definition.as_physical().name
         executor._indexes[key] = _PoisonIndex(executor._indexes[key].definition)
         degraded = executor.execute(query)
-        # Results provably unchanged, served by the summary-scan path.
+        # Results provably unchanged, served by a document scan.
         assert degraded.result_count == baseline.result_count
         assert not degraded.used_index_plan
         assert not database.catalog.index_usable(name)

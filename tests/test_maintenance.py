@@ -1,8 +1,8 @@
 """Delta-propagation maintenance: equivalence and invalidation tests.
 
 The core contract of :mod:`repro.storage.maintenance` is *byte
-identity*: a collection whose derived state (path summary, columnar
-store, statistics synopsis, physical index entries) is maintained
+identity*: a collection whose derived state (columnar store,
+statistics synopsis, physical index entries) is maintained
 through per-document deltas must be indistinguishable from a database
 built from scratch out of its current documents, for any interleaving
 of document adds and removes.  The randomized tests drive seeded op
@@ -47,6 +47,7 @@ from repro.workloads.xmark import (
     xmark_query_workload,
 )
 from repro.xmldb.parser import parse_document
+from repro.xpath.patterns import PathPattern
 from repro.xquery.model import ValueType, Workload
 from repro.xquery.normalizer import normalize_workload
 
@@ -67,8 +68,6 @@ def _rebuilt(database: XmlDatabase) -> XmlDatabase:
 
 def _assert_equivalent(maintained: XmlCollection,
                        rebuilt: XmlCollection) -> None:
-    assert maintained.path_summary.canonical_state() \
-        == rebuilt.path_summary.canonical_state()
     assert maintained.columnar_store.canonical_state() \
         == rebuilt.columnar_store.canonical_state()
     assert maintained.statistics == rebuilt.statistics
@@ -122,26 +121,38 @@ class TestSummaryDelta:
         collection = XmlCollection("c")
         collection.add_document("<r><a>1</a></r>")
         collection.add_document("<r><b>2</b></r>")
-        before = collection.path_summary
+        before = collection.columnar_store
         collection.add_document("<r><a>3</a></r>")  # touches /r and /r/a only
-        after = collection.path_summary
+        after = collection.columnar_store
         assert after is not before  # snapshot replaced, not mutated
-        assert after.doc_nodes_for_path("/r/b") is before.doc_nodes_for_path("/r/b")
-        assert after.doc_nodes_for_path("/r/a") is not before.doc_nodes_for_path("/r/a")
+
+        def postings(store, path):
+            return store._postings[store._path_index[path]]
+
+        assert postings(after, "/r/b") is postings(before, "/r/b")
+        assert postings(after, "/r/a") is not postings(before, "/r/a")
         # The old snapshot still answers with its pre-change view.
-        assert len(before.nodes_for_path("/r/a")) == 1
-        assert len(after.nodes_for_path("/r/a")) == 2
+        pattern = PathPattern.parse("/r/a")
+        assert len(before.nodes_for_pattern(pattern)) == 1
+        assert len(after.nodes_for_pattern(pattern)) == 2
 
     def test_remove_drops_emptied_paths(self):
+        """A path whose last document is removed disappears from the
+        store's path-level answers and from statistics collected from
+        the maintained store."""
         collection = XmlCollection("c")
-        collection.add_document("<r><only>x</only></r>")
+        collection.add_document('<r><only x="1">2</only></r>')
         collection.add_document("<r><a>1</a></r>")
-        assert collection.path_summary.has_path("/r/only")
+        assert "/r/only/@x" in collection.columnar_store.distinct_paths
         collection.remove_document(0)
-        summary = collection.path_summary
-        assert not summary.has_path("/r/only")
+        store = collection.columnar_store
+        assert store.distinct_paths == ["/r", "/r/a"]
+        assert "2 paths" in store.describe()
+        # Statistics are first collected now, from the maintained store
+        # whose path table still holds the emptied entries.
+        assert sorted(collection.statistics.path_stats) == ["/r", "/r/a"]
         # Keys above the removed document slid down.
-        assert list(summary.doc_nodes_for_path("/r/a")) == [0]
+        assert store.documents_with_match(PathPattern.parse("/r/a")) == {0}
 
     def test_statistics_min_max_retraction(self):
         collection = XmlCollection("c")
@@ -157,19 +168,21 @@ class TestSummaryDelta:
         stat = collection.statistics.path_stats["/r/v"]
         assert (stat.min_value, stat.max_value) == (40.0, 40.0)
 
-    def test_accumulator_from_summary_roundtrip(self):
+    def test_accumulator_from_store_roundtrip(self):
         collection = XmlCollection("c")
         collection.add_document(TINY_SITE_XML)
         assert collection.statistics.document_count == 1  # prime the accumulator
         collection.add_document("<site><people><person id='p9'/></people></site>")
-        accumulator = StatisticsAccumulator.from_summary(collection.path_summary)
+        collection.add_document("<site><gone>1</gone></site>")
+        collection.remove_document(2)  # leaves an emptied path in the store
+        accumulator = StatisticsAccumulator.from_store(collection.columnar_store)
         assert accumulator.snapshot() == collection.statistics
 
 
 @pytest.mark.parametrize("workload_kind", ["xmark", "tpox"])
 def test_randomized_interleaved_equivalence(workload_kind):
     """Interleaved add/remove sequences must keep the delta-maintained
-    summary, store, statistics and index entries byte-identical to a
+    store, statistics and index entries byte-identical to a
     database rebuilt from the live documents, checked after *every*
     operation."""
     if workload_kind == "xmark":
@@ -504,10 +517,11 @@ class TestFineGrainedInvalidation:
 
         # Byte-neutral swaps: every doc keeps its quantities, prices
         # collapse to '05' (same width, new global //item/* minimum).
+        quantity = PathPattern.parse("/site/region/item/quantity")
         for _ in range(len(collection)):
             quantities = [node.typed_value() for node in
-                          collection.path_summary.nodes_for_path(
-                              "/site/region/item/quantity", 0)]
+                          collection.columnar_store.nodes_for_pattern(
+                              quantity, 0)]
             collection.remove_document(0)
             items = "".join(
                 f"<item><quantity>{q}</quantity><price>05</price></item>"
@@ -551,7 +565,7 @@ class TestOrderedExtraction:
         database = self._database()
         executor = QueryExecutor(database)
         # Multi-path pattern: regions/*/item/name spans several distinct
-        # paths, which the summary merges by node id.
+        # paths, which the store merges into document order.
         result = executor.execute("/site/regions/*/item/name", extract=True)
         assert result.extracted_count > 0
         nodes = result.extracted_nodes
@@ -568,12 +582,12 @@ class TestOrderedExtraction:
 
     def test_extraction_matches_interpretive_order(self):
         database = self._database()
-        summary_results = QueryExecutor(database).execute(
+        engine_results = QueryExecutor(database).execute(
             "/site/regions/*/item/name", extract=True)
-        legacy_results = QueryExecutor(database, use_path_summary=False).execute(
+        interpreter_results = QueryExecutor(database, use_columnar=False).execute(
             "/site/regions/*/item/name", extract=True)
-        assert [n.node_id for n in summary_results.extracted_nodes] \
-            == [n.node_id for n in legacy_results.extracted_nodes]
+        assert [n.node_id for n in engine_results.extracted_nodes] \
+            == [n.node_id for n in interpreter_results.extracted_nodes]
 
     def test_index_plan_extraction_ordered(self):
         database = self._database()
@@ -585,7 +599,7 @@ class TestOrderedExtraction:
                                   extract=True)
         assert result.used_index_plan
         assert result.extracted_count >= result.result_count
-        scan = QueryExecutor(database, use_path_summary=True)
+        scan = QueryExecutor(database)
         scan.drop_all_indexes()
         reference = scan.execute("/site/regions/*/item[quantity > 90]",
                                  extract=True)

@@ -116,20 +116,20 @@ def test_measure_workload_accepts_normalized_queries(tiny_database,
 
 
 def test_measure_scan_modes_equivalent_counts(tiny_database, site_workload):
-    """The interpretive and summary-backed scan engines must agree on
-    every per-query result count; neither touches an index."""
+    """The interpreter and the columnar engine must agree on every
+    per-query result count; neither touches an index."""
     measurements = measure_scan_modes(tiny_database, site_workload)
-    assert set(measurements) == {"scan-interpretive", "scan-summary"}
+    assert set(measurements) == {"scan-interpretive", "scan-engine"}
     interpretive = measurements["scan-interpretive"]
-    summary = measurements["scan-summary"]
-    assert interpretive.query_count == summary.query_count == 2
-    for interp_row, summary_row in zip(interpretive.per_query,
-                                       summary.per_query):
-        assert interp_row.result_count == summary_row.result_count
+    engine = measurements["scan-engine"]
+    assert interpretive.query_count == engine.query_count == 2
+    for interp_row, engine_row in zip(interpretive.per_query,
+                                      engine.per_query):
+        assert interp_row.result_count == engine_row.result_count
         assert not interp_row.used_index_plan
-        assert not summary_row.used_index_plan
+        assert not engine_row.used_index_plan
     assert interpretive.index_entries_scanned == 0
-    assert summary.index_entries_scanned == 0
+    assert engine.index_entries_scanned == 0
 
 
 def test_measurement_describe_mentions_the_label(tiny_database, site_workload):

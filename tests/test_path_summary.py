@@ -1,42 +1,34 @@
-"""Tests for the structural path-summary subsystem and the XPath compiler.
+"""Tests for a collection's structural store as a path summary.
 
-Covers:
+Each collection keeps one structural representation, its
+:class:`~repro.storage.columnar.ColumnarStore` (still reachable as
+``XmlCollection.path_summary``).  Covers:
 
-* :class:`repro.storage.path_summary.PathSummary` construction, lookup
-  semantics and the collection-level invalidation contract;
-* :mod:`repro.xpath.compiler` lowering rules, fallback classification
-  and the parse/compile LRU caches;
-* node-set equivalence between compiled summary lookups and the
-  interpretive :class:`~repro.xpath.evaluator.XPathEvaluator` across
-  the synthetic and XMark workloads (the property the executor's
-  summary-backed scan engine relies on);
-* statistics derived from the summary matching the direct collection
-  path;
-* executor behaviour: summary scans vs. legacy interpretive scans, and
-  physical index builds sourced from the summary.
+* the store as a path-to-nodes lookup: construction, pattern lookups,
+  document-ordered results and the collection-level invalidation
+  contract;
+* node-set equivalence between
+  :meth:`~repro.storage.columnar.ColumnarStore.nodes_for_pattern` and
+  the interpretive :class:`~repro.xpath.evaluator.XPathEvaluator` per
+  document, across hand-written, XMark and synthetic workload paths
+  (the property the executor's engine relies on);
+* statistics collected from the store matching the delta-maintained
+  synopsis;
+* executor behaviour: engine scans vs. interpretive scans, and physical
+  index builds sourced from the store.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from _support import TINY_SITE_XML, build_varied_database
 from repro.executor.executor import QueryExecutor
 from repro.index.definition import IndexDefinition
 from repro.storage import XmlDatabase
-from repro.storage.path_summary import PathSummary, build_path_summary
-from repro.storage.statistics import (
-    collect_statistics,
-    collect_statistics_from_summary,
-)
+from repro.storage.columnar import build_columnar_store
+from repro.storage.statistics import collect_statistics
 from repro.workloads.synthetic import SyntheticWorkloadGenerator
 from repro.xmldb import parse_document
-from repro.xpath.compiler import (
-    clear_compiler_caches,
-    compile_xpath,
-    parse_xpath_cached,
-    pattern_summary_safe,
-)
+from repro.xpath.errors import XPathParseError
 from repro.xpath.evaluator import XPathEvaluator
 from repro.xpath.patterns import PathPattern
 from repro.xquery.model import ValueType
@@ -44,212 +36,175 @@ from repro.xquery.normalizer import normalize_workload
 
 
 # ----------------------------------------------------------------------
-# PathSummary core
+# The store as a path summary
 # ----------------------------------------------------------------------
 class TestPathSummary:
     def test_build_counts_and_paths(self, tiny_document):
-        summary = build_path_summary([tiny_document], renumber=True)
-        assert summary.document_count == 1
-        assert summary.has_path("/site/regions/africa/item")
-        assert summary.has_path("/site/people/person/@id")
-        assert not summary.has_path("/site/nowhere")
-        # 3 items, 2 persons carry @id.
-        assert len(summary.nodes_for_path("/site/regions/africa/item")) == 2
-        assert summary.total_element_count == sum(
-            1 for _ in tiny_document.descendant_elements())
+        store = build_columnar_store([tiny_document])
+        assert store.document_count == 1
+        assert "/site/regions/africa/item" in store.distinct_paths
+        assert "/site/people/person/@id" in store.distinct_paths
+        assert "/site/nowhere" not in store.distinct_paths
+        # 3 items, 2 of them in africa.
+        assert len(store.nodes_for_pattern(
+            PathPattern.parse("/site/regions/africa/item"))) == 2
+        assert store.node_count == sum(
+            1 + len(element.attributes)
+            for element in tiny_document.descendant_elements())
 
     def test_pattern_lookup_with_wildcards_and_descendants(self, tiny_document):
-        summary = build_path_summary([tiny_document], renumber=True)
-        items = summary.nodes_for_pattern(PathPattern.parse("/site/regions/*/item"))
+        store = build_columnar_store([tiny_document])
+        items = store.nodes_for_pattern(PathPattern.parse("/site/regions/*/item"))
         assert len(items) == 3
-        ids = summary.nodes_for_pattern(PathPattern.parse("//@id"))
+        ids = store.nodes_for_pattern(PathPattern.parse("//@id"))
         assert sorted(n.value for n in ids) == ["i1", "i2", "i3", "p1", "p2"]
-        assert summary.node_count_for_pattern(PathPattern.parse("//item")) == 3
+        assert len(store.nodes_for_pattern(PathPattern.parse("//item"))) == 3
 
     def test_per_document_lookup_and_document_ids(self):
         database = XmlDatabase("t")
         collection = database.create_collection("site")
         collection.add_document(parse_document(TINY_SITE_XML))
         collection.add_document(parse_document("<site><people/></site>"))
-        summary = collection.path_summary
+        store = collection.columnar_store
         pattern = PathPattern.parse("//item")
-        assert summary.document_ids_for_pattern(pattern) == {0}
-        assert summary.nodes_for_pattern(pattern, doc_id=1) == []
-        assert summary.has_match(pattern, doc_id=0)
-        assert not summary.has_match(pattern, doc_id=1)
+        assert store.documents_with_match(pattern) == {0}
+        assert store.nodes_for_pattern(pattern, doc_id=1) == []
+        assert store.nodes_for_pattern(pattern, doc_id=0)
 
     def test_collection_invalidates_summary_on_add_and_remove(self):
         database = XmlDatabase("t")
         collection = database.create_collection("site")
         collection.add_document(parse_document(TINY_SITE_XML))
-        first = collection.path_summary
-        assert collection.path_summary is first  # cached
+        first = collection.columnar_store
+        assert collection.columnar_store is first  # cached
+        # The old name is the same object, not a second structure.
+        assert collection.path_summary is collection.columnar_store
         version = collection.version
         collection.add_document(parse_document(TINY_SITE_XML))
         assert collection.version > version
-        second = collection.path_summary
+        second = collection.columnar_store
         assert second is not first
         assert second.document_count == 2
         collection.remove_document(0)
-        assert collection.path_summary.document_count == 1
+        assert collection.columnar_store.document_count == 1
 
     def test_invalidate_statistics_also_drops_summary(self):
         database = XmlDatabase("t")
         collection = database.create_collection("site")
         collection.add_document(parse_document(TINY_SITE_XML))
-        first = collection.path_summary
+        first = collection.columnar_store
         collection.invalidate_statistics()
-        assert collection.path_summary is not first
+        assert collection.columnar_store is not first
 
     def test_describe_mentions_counts(self, tiny_document):
-        summary = build_path_summary([tiny_document], renumber=True)
-        text = summary.describe()
-        assert "distinct paths" in text and "1 document(s)" in text
+        store = build_columnar_store([tiny_document])
+        text = store.describe()
+        assert f"{len(store.distinct_paths)} paths" in text
+        assert "1 document(s)" in text
 
     def test_ordered_pattern_lookup_is_in_document_order(self):
         """Multi-path pattern lookups with ordered=True merge the per-path
-        runs by node id: the result is exactly document order, per
-        document, across every distinct path the pattern matches."""
+        postings: the result is exactly document order, per document,
+        across every distinct path the pattern matches."""
         database = XmlDatabase("t")
         collection = database.create_collection("site")
         collection.add_document(parse_document(TINY_SITE_XML))
         collection.add_document(parse_document(TINY_SITE_XML))
-        summary = collection.path_summary
+        store = collection.columnar_store
         # '//@id' matches both item/@id and person/@id -- two distinct
         # paths whose nodes interleave in document order.
         pattern = PathPattern.parse("//@id")
-        assert len(summary.paths_matching(pattern)) > 1
+        assert sum(1 for path in store.distinct_paths
+                   if pattern.matches_evaluator(path)) > 1
         def doc_of(node):
             return list(node.ancestors(include_self=True))[-1].doc_id
 
-        ordered = summary.nodes_for_pattern(pattern, ordered=True)
+        ordered = store.nodes_for_pattern(pattern, ordered=True)
         keys = [(doc_of(node), node.node_id) for node in ordered]
         assert keys == sorted(keys)
         # Same node set as the unordered (grouped-by-path) lookup.
-        unordered = summary.nodes_for_pattern(pattern)
+        unordered = store.nodes_for_pattern(pattern)
         assert {id(n) for n in ordered} == {id(n) for n in unordered}
         # Per-document lookup is ordered too.
         for doc_id in (0, 1):
-            per_doc = summary.nodes_for_pattern(pattern, doc_id=doc_id,
-                                                ordered=True)
+            per_doc = store.nodes_for_pattern(pattern, doc_id=doc_id,
+                                              ordered=True)
             ids = [node.node_id for node in per_doc]
             assert ids == sorted(ids) and ids
 
     def test_ordered_lookup_single_path_unchanged(self, tiny_document):
-        summary = build_path_summary([tiny_document], renumber=True)
+        store = build_columnar_store([tiny_document])
         pattern = PathPattern.parse("/site/regions/africa/item")
-        assert summary.nodes_for_pattern(pattern, ordered=True) == \
-            summary.nodes_for_pattern(pattern)
+        assert store.nodes_for_pattern(pattern, ordered=True) == \
+            store.nodes_for_pattern(pattern)
 
     def test_compiled_lookup_serves_ordered_extraction(self):
-        """CompiledXPath.select_nodes(ordered=True) returns the summary
-        spine in document order, matching the interpreter's order."""
-        from repro.xpath.compiler import compile_xpath
-
+        """nodes_for_pattern(ordered=True) returns one document's
+        matches in document order, matching the interpreter's order."""
         database = XmlDatabase("t")
         collection = database.create_collection("site")
         document = collection.add_document(parse_document(TINY_SITE_XML))
-        summary = collection.path_summary
-        compiled = compile_xpath("//@id")
-        assert compiled.is_summary_backed
-        nodes = compiled.select_nodes(summary, document, ordered=True)
-        interpreted = XPathEvaluator(document).select_nodes(compiled.expression)
+        nodes = collection.columnar_store.nodes_for_pattern(
+            PathPattern.parse("//@id"), document.doc_id, ordered=True)
+        interpreted = XPathEvaluator(document).select_nodes("//@id")
         assert [n.node_id for n in nodes] == [n.node_id for n in interpreted]
 
 
 # ----------------------------------------------------------------------
-# Statistics share the summary traversal
+# Statistics share the store's traversal
 # ----------------------------------------------------------------------
 class TestStatisticsFromSummary:
     def test_summary_statistics_match_direct_collection(self):
-        docs = [parse_document(TINY_SITE_XML),
-                parse_document("<site><people><person id='x'>"
-                               "<name>Zoe</name></person></people></site>")]
-        direct = collect_statistics(docs)
-        via_summary = collect_statistics_from_summary(
-            build_path_summary(docs, renumber=True))
-        assert direct.document_count == via_summary.document_count
-        assert direct.total_node_count == via_summary.total_node_count
-        assert direct.total_element_count == via_summary.total_element_count
-        assert direct.total_text_bytes == via_summary.total_text_bytes
-        assert direct.path_stats == via_summary.path_stats
+        """Statistics collected from a store equal the synopsis a
+        collection maintains document by document through deltas."""
+        texts = [TINY_SITE_XML,
+                 "<site><people><person id='x'>"
+                 "<name>Zoe</name></person></people></site>"]
+        direct = collect_statistics(parse_document(text) for text in texts)
+        database = XmlDatabase("t")
+        collection = database.create_collection("site")
+        collection.add_document(texts[0])
+        assert collection.statistics.document_count == 1  # prime the deltas
+        collection.add_document(texts[1])
+        via_deltas = collection.statistics
+        assert direct.document_count == via_deltas.document_count
+        assert direct.total_node_count == via_deltas.total_node_count
+        assert direct.total_element_count == via_deltas.total_element_count
+        assert direct.total_text_bytes == via_deltas.total_text_bytes
+        assert direct.path_stats == via_deltas.path_stats
 
-    def test_collection_statistics_derived_from_summary(self, xmark_database):
+    def test_collection_statistics_derived_from_store(self, xmark_database):
         for collection in xmark_database.collections:
             stats = collection.statistics
-            summary = collection.path_summary
-            assert stats.document_count == summary.document_count
-            assert stats.total_element_count == summary.total_element_count
-            assert set(stats.path_stats) == set(summary.distinct_paths)
+            store = collection.columnar_store
+            assert stats.document_count == store.document_count
+            assert stats.total_node_count == \
+                store.node_count + store.document_count
+            assert set(stats.path_stats) == set(store.distinct_paths)
 
 
 # ----------------------------------------------------------------------
-# Compiler lowering and caches
-# ----------------------------------------------------------------------
-class TestCompiler:
-    def test_predicate_free_paths_are_summary_backed(self):
-        for text in ("/site/people/person/@id", "//keyword",
-                     "/site/regions/*/item", "//item/name/text()",
-                     "/site//item/payment", "//@id"):
-            compiled = compile_xpath(text)
-            assert compiled.is_summary_backed, text
-            assert not compiled.residual_predicates
-
-    def test_final_step_predicates_become_residual(self):
-        compiled = compile_xpath("/site/regions/africa/item[quantity > 5]")
-        assert compiled.is_summary_backed
-        assert len(compiled.residual_predicates) == 1
-        assert compiled.pattern.to_text() == "/site/regions/africa/item"
-
-    @pytest.mark.parametrize("text,reason_fragment", [
-        ("item/name", "relative"),
-        ("$i/quantity", "variable"),
-        ("/", "document root"),
-        ("/site/person[@id = 'p']/name", "inner step"),
-        ("/a//a", "context"),
-        ("//site//*", "context"),
-        ("/site//text()", "text()"),
-        ("count(//item)", "not a location path"),
-    ])
-    def test_fallback_reasons(self, text, reason_fragment):
-        compiled = compile_xpath(text)
-        assert not compiled.is_summary_backed
-        assert reason_fragment in compiled.fallback_reason
-
-    def test_fallback_still_evaluates_via_interpreter(self, tiny_document):
-        compiled = compile_xpath("//person[@id = \"p1\"]/name")
-        assert not compiled.is_summary_backed
-        nodes = compiled.select_nodes(None, tiny_document)
-        assert [n.string_value() for n in nodes] == ["Alice"]
-
-    def test_compile_cache_returns_same_object(self):
-        clear_compiler_caches()
-        first = compile_xpath("/site/people/person")
-        second = compile_xpath("/site/people/person")
-        assert first is second
-        assert parse_xpath_cached("/site/people/person") is parse_xpath_cached(
-            "/site/people/person")
-
-    def test_pattern_summary_safety(self):
-        assert pattern_summary_safe(PathPattern.parse("/site/regions//item"))
-        assert pattern_summary_safe(PathPattern.parse("//item/@id"))
-        assert not pattern_summary_safe(PathPattern.parse("/a//a"))
-        assert not pattern_summary_safe(PathPattern.parse("//site//*"))
-
-
-# ----------------------------------------------------------------------
-# Compiled-vs-interpreter node-set equivalence (the core property)
+# Store-vs-interpreter node-set equivalence (the core property)
 # ----------------------------------------------------------------------
 def _assert_equivalent(database, expressions):
+    """Every linear expression (one that parses as an index pattern)
+    selects the same nodes from the store as from the interpreter, per
+    document; non-linear ones (predicates, ``text()``) have no store
+    answer and are skipped."""
+    patterns = {}
+    for text in expressions:
+        try:
+            patterns[text] = PathPattern.parse(text)
+        except XPathParseError:
+            continue
     checked = 0
     for collection in database.collections:
-        summary = collection.path_summary
+        store = collection.columnar_store
         for document in collection:
             evaluator = XPathEvaluator(document)
-            for text in expressions:
-                compiled = compile_xpath(text)
-                got = {id(n) for n in compiled.select_nodes(summary, document,
-                                                            evaluator)}
+            for text, pattern in patterns.items():
+                got = {id(n) for n in store.nodes_for_pattern(
+                    pattern, document.doc_id)}
                 want = {id(n) for n in evaluator.select_nodes(text)}
                 assert got == want, (text, document.doc_id)
                 checked += 1
@@ -266,8 +221,8 @@ HAND_EXPRESSIONS = [
     "/site//item/payment",
     "//regions//item",
     "/site/people/person[profile/@income >= 42000]",
-    "/a//a",                      # fallback shape: must still agree
-    "//person[@id = \"p1\"]/name",  # inner predicate: interpreter both ways
+    "/a//a",                      # step matching its own context
+    "//person[@id = \"p1\"]/name",  # inner predicate: no store answer
 ]
 
 
@@ -309,13 +264,12 @@ class TestExecutorSummaryEngine:
     def test_summary_and_legacy_scans_agree(self, xmark_database, xmark_workload):
         queries = [q for q in normalize_workload(xmark_workload)
                    if not q.is_update]
-        summary_results = QueryExecutor(
-            xmark_database, use_path_summary=True).execute_workload(queries)
-        legacy_results = QueryExecutor(
-            xmark_database, use_path_summary=False).execute_workload(queries)
-        for with_summary, legacy in zip(summary_results, legacy_results):
-            assert with_summary.result_count == legacy.result_count
-            assert with_summary.documents_examined == legacy.documents_examined
+        engine_results = QueryExecutor(xmark_database).execute_workload(queries)
+        interpreter_results = QueryExecutor(
+            xmark_database, use_columnar=False).execute_workload(queries)
+        for engine, interpreter in zip(engine_results, interpreter_results):
+            assert engine.result_count == interpreter.result_count
+            assert engine.documents_examined == interpreter.documents_examined
 
     def test_summary_index_build_matches_legacy_entries(self):
         from repro.index.physical import build_physical_index

@@ -5,6 +5,8 @@ Covered invariants:
 * XML parser / serializer round-trips arbitrary generated documents.
 * Pattern matching agrees with pattern containment (if P contains Q, then
   every concrete path matched by Q is matched by P).
+* Strict index-pattern matching implies matching under the
+  interpreter's descendant-or-self semantics.
 * Generalization produces patterns that contain their sources.
 * The physical index returns exactly the entries a naive scan would.
 * The greedy searches never exceed the disk budget and never return a
@@ -63,6 +65,17 @@ def _fix_steps(steps):
 
 _pattern = st.lists(_pattern_step, min_size=1, max_size=4).map(
     lambda steps: PathPattern(steps=_fix_steps(steps)))
+
+#: A small alphabet (``a``, ``b``, ``*``, ``@x``, ``/``, ``//``) on which
+#: self-matching ``//`` steps (``/a//a``, ``//*``) are frequent.
+_small_pattern = st.lists(
+    st.builds(PatternStep, label=st.sampled_from(["a", "b", "*", "@x"]),
+              descendant=st.booleans()),
+    min_size=1, max_size=4).map(lambda steps: PathPattern(steps=tuple(steps)))
+_small_path = st.tuples(
+    st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=5),
+    st.booleans()).map(
+        lambda parts: "/" + "/".join(parts[0]) + ("/@x" if parts[1] else ""))
 
 _element_text = st.text(alphabet=string.ascii_letters + string.digits + " .-",
                         max_size=12)
@@ -155,6 +168,15 @@ class TestPatternProperties:
             assert pattern_contains(result, first)
             assert pattern_contains(result, second)
             assert result != first and result != second
+
+    @given(_small_pattern, _small_path)
+    @settings(max_examples=200, deadline=None)
+    def test_strict_match_implies_evaluator_match(self, pattern, path):
+        """Index-pattern matching is a restriction of the interpreter's
+        descendant-or-self semantics, which is what lets routing and the
+        store use the evaluator matcher for every read pattern."""
+        if pattern.matches(path):
+            assert pattern.matches_evaluator(path)
 
     @given(_pattern)
     @settings(max_examples=60, deadline=None)

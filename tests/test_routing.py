@@ -261,13 +261,13 @@ class TestExecutorRouting:
         database = build_varied_database(documents=8, name="route-sum")
         executor = QueryExecutor(database)
         executor.execute("/site/people/person[name = 'Person 1 0']")
-        cached = executor._summaries.get("site")
+        cached = executor._columnars.get("site")
         assert cached is not None
-        assert executor._summary_for("site") is cached  # served from memo
+        assert executor._columnar_for("site") is cached  # served from memo
         database.collection("site").add_document("<site><people/></site>")
-        assert "site" not in executor._summaries  # listener evicted it
+        assert "site" not in executor._columnars  # listener evicted it
         executor.execute("/site/people/person[name = 'Person 1 0']")
-        assert executor._summaries["site"] is not cached
+        assert executor._columnars["site"] is not cached
 
 
 class TestRoutedInvalidation:

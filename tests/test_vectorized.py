@@ -3,18 +3,17 @@
 The engine answers value predicates with two bisects over each path's
 value-sorted projection (`ColumnarStore.match_positions` /
 `matching_documents`) and serves extraction values straight from the
-values column.  Every test here pins the same property: the engine and
-the per-document summary path a degraded store falls back to
-(``use_columnar=False``) return the matching documents, extracted node
-ids and extracted values of the purely interpretive reference
-(``use_path_summary=False``), **byte for byte** -- across randomized
+values column.  Every test here pins the same property: the engine
+returns the matching documents, extracted node ids and extracted values
+of the interpretive reference (``use_columnar=False``, also what a
+degraded store falls back to), **byte for byte** -- across randomized
 mixed-type data (numeric-looking strings like ``"010"``, negatives,
 floats, empty values), every comparison operator, interleaved
 add/remove deltas, and under ``REPRO_FREEZE_SNAPSHOTS=1``.
 
 The ``scan_node_materializations`` counter is the structural guarantee:
 zero on the engine's scan path (predicates and value extraction never
-left the columns), positive on the per-document paths.
+left the columns), positive on the per-document interpreter.
 """
 
 from __future__ import annotations
@@ -115,47 +114,43 @@ def _signature(executor: QueryExecutor, statement: str):
             tuple(result.extracted_values))
 
 
-def _three_executors(database: XmlDatabase):
-    """The engine, the degraded (summary) path, the interpretive oracle."""
+def _engine_and_interpreter(database: XmlDatabase):
+    """The engine and the interpretive oracle."""
     return (QueryExecutor(database),
-            QueryExecutor(database, use_columnar=False),
-            QueryExecutor(database, use_path_summary=False))
+            QueryExecutor(database, use_columnar=False))
 
 
 class TestEquivalence:
     def test_randomized_predicates_byte_identical(self):
         database = _mixed_database()
-        engine, degraded, interpretive = _three_executors(database)
+        engine, interpretive = _engine_and_interpreter(database)
         for statement in _predicate_statements():
             expected = _signature(interpretive, statement)
             assert _signature(engine, statement) == expected, statement
-            assert _signature(degraded, statement) == expected, statement
         # PR 10: the legacy counters became registry metrics -- parity
         # must hold after a randomized workload on every path.
-        for executor in (engine, degraded, interpretive):
+        for executor in (engine, interpretive):
             assert_counter_parity(executor, EXECUTOR_COUNTERS)
 
     def test_navigation_only_queries(self):
         database = _mixed_database(seed=11, name="vec-nav")
-        engine, degraded, interpretive = _three_executors(database)
+        engine, interpretive = _engine_and_interpreter(database)
         for statement in ("/site/regions/africa/item/name",
                           "/site//quantity",
                           "/site/regions/*/item/@id"):
             expected = _signature(interpretive, statement)
             assert _signature(engine, statement) == expected, statement
-            assert _signature(degraded, statement) == expected, statement
 
     def test_equivalence_across_interleaved_deltas(self):
         database = _mixed_database(seed=13, name="vec-delta")
         collection = database.collection("site")
-        engine, degraded, interpretive = _three_executors(database)
+        engine, interpretive = _engine_and_interpreter(database)
         statements = _predicate_statements()[::7]
         rng = random.Random(29)
         for round_number in range(4):
             for statement in statements:
                 expected = _signature(interpretive, statement)
                 assert _signature(engine, statement) == expected, statement
-                assert _signature(degraded, statement) == expected, statement
             # Interleave an add and a remove (delta-maintained snapshots
             # carry untouched projections, rebuild touched ones).
             value = rng.choice(VALUE_POOL)
@@ -170,7 +165,7 @@ class TestNoMaterialization:
     def test_vectorized_value_scan_touches_no_nodes(self):
         database = build_varied_database(documents=20, name="vec-zero")
         engine = QueryExecutor(database)
-        interpreter = QueryExecutor(database, use_path_summary=False)
+        interpreter = QueryExecutor(database, use_columnar=False)
         statement = ('for $i in doc("x")/site/regions/africa/item '
                      'where $i/quantity > 50.0 return $i/name')
         result = engine.execute(statement, extract_values=True)
@@ -188,7 +183,7 @@ class TestNoMaterialization:
 
         database = build_varied_database(documents=40, name="vec-index")
         engine = QueryExecutor(database)
-        interpreter = QueryExecutor(database, use_path_summary=False)
+        interpreter = QueryExecutor(database, use_columnar=False)
         statement = ('for $i in doc("x")/site/regions/africa/item '
                      'where $i/quantity > 90.0 return $i/name')
         scan_expected = interpreter.execute(statement, extract_values=True)
@@ -349,7 +344,7 @@ class TestFrozenSubprocess:
             database = _mixed_database(documents=8, name="vec-frozen")
             collection = database.collection("site")
             engine = QueryExecutor(database)
-            interpreter = QueryExecutor(database, use_path_summary=False)
+            interpreter = QueryExecutor(database, use_columnar=False)
             statements = _predicate_statements()[::9]
             for statement in statements:
                 assert _signature(engine, statement) == \\

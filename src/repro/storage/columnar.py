@@ -48,7 +48,7 @@ call per collection, a forward cursor per postings array).
 The store is the collection's one structural representation: besides
 the executor, physical index builds read its strict-pattern postings
 (:meth:`iter_strict_pattern_nodes`) and the statistics synopsis is
-collected from its per-path document groups (:meth:`path_groups`).
+collected from its postings and values column (:meth:`path_postings`).
 
 Maintenance: the store is immutable once built and is replaced through
 :meth:`apply_delta` under the
@@ -640,25 +640,25 @@ class ColumnarStore:
                     doc += 1
                 yield doc, self._nodes[position]
 
-    def path_groups(self) -> Iterator[Tuple[str, List[List[XmlNode]]]]:
-        """Every entry of the distinct-path table with its nodes grouped
-        per document (documents in key order, nodes in document order);
-        an entry whose postings emptied on removal has no groups.  What
-        statistics collection reads."""
+    def path_postings(self) -> Iterator[Tuple[str, array, int]]:
+        """Every distinct path some document carries (entries whose
+        postings emptied on removal are skipped), with its ascending
+        postings and the number of documents they fall in -- counted by
+        the :meth:`documents_with_match` skip-scan.  What statistics
+        collection reads, beside :attr:`values` and :meth:`node_at`."""
         starts = self._doc_start_index()
         bounds = self._doc_bounds
-        nodes = self._nodes
         for pid, path in enumerate(self._paths):
             arr = self._postings[pid]
-            groups: List[List[XmlNode]] = []
+            documents = 0
             index = 0
             total = len(arr)
             while index < total:
                 doc = bisect_right(starts, arr[index]) - 1
-                end = bisect_left(arr, bounds[doc][1], index + 1)
-                groups.append([nodes[p] for p in arr[index:end]])
-                index = end
-            yield path, groups
+                documents += 1
+                index = bisect_left(arr, bounds[doc][1], index + 1)
+            if documents:
+                yield path, arr, documents
 
     # ------------------------------------------------------------------
     # Vectorized value predicates (the set-at-a-time engine)

@@ -24,8 +24,10 @@ running counters -- which can *also* absorb one document's
 :class:`~repro.storage.maintenance.DocumentDelta` (add or retract) in
 O(document nodes) and emit a fresh :class:`DatabaseStatistics` snapshot
 in O(distinct paths).  The full build and the delta path share the same
-recording code, so an incrementally maintained synopsis is byte-
-identical to a rebuild by construction.  Snapshots stay immutable:
+recording code over the same normalized values (the build reads them
+from the store's values column, the delta path computes them with the
+function that filled it), so an incrementally maintained synopsis is
+byte-identical to a rebuild by construction.  Snapshots stay immutable:
 the accumulator is mutable private state of the collection; every
 ``snapshot()`` call produces a new statistics object.
 """
@@ -414,20 +416,14 @@ def collect_statistics(documents: Iterable[DocumentNode]) -> DatabaseStatistics:
         build_columnar_store(documents)).snapshot()
 
 
-def _node_record_value(node: XmlNode) -> Tuple[str, int]:
-    """The normalized value a node contributes to the synopsis plus its
-    text-byte charge (attribute bytes are counted unstripped, element
-    direct text stripped -- matching the original collection pass
-    exactly).  The value itself comes from the one shared
-    :func:`~repro.xmldb.nodes.normalized_node_value` definition, so the
-    synopsis and the columnar values column always agree byte-for-byte.
-    """
-    value = normalized_node_value(node)
-    if node.kind == NodeKind.ATTRIBUTE:
-        return value, len(node.value)
-    direct_text = "".join(child.value for child in node.children
-                          if child.kind == NodeKind.TEXT)
-    return value, len(direct_text.strip())
+def _text_bytes(node: XmlNode) -> int:
+    """A node's text-byte charge: attribute bytes are counted unstripped,
+    element direct text stripped (but not whitespace-collapsed, so it
+    can exceed the normalized value's length)."""
+    if node.kind is NodeKind.ATTRIBUTE:
+        return len(node.value)
+    return len("".join([child.value for child in node.children
+                        if child.kind is NodeKind.TEXT]).strip())
 
 
 class _PathAccumulator:
@@ -451,24 +447,23 @@ class _PathAccumulator:
         self.min_value: Optional[float] = None
         self.max_value: Optional[float] = None
 
-    def add_node(self, node: XmlNode) -> int:
-        normalized, text_bytes = _node_record_value(node)
-        self.node_count += 1
+    def add_value(self, normalized: str, count: int = 1) -> None:
+        """Record ``count`` nodes whose normalized value is ``normalized``."""
+        self.node_count += count
         if normalized:
-            self.values[normalized] += 1
-            self.total_value_bytes += len(normalized)
+            self.values[normalized] += count
+            self.total_value_bytes += count * len(normalized)
             number = _as_float(normalized)
             if number is not None:
-                self.numeric_count += 1
-                self.numeric_values[number] += 1
+                self.numeric_count += count
+                self.numeric_values[number] += count
                 if self.min_value is None or number < self.min_value:
                     self.min_value = number
                 if self.max_value is None or number > self.max_value:
                     self.max_value = number
-        return text_bytes
 
-    def remove_node(self, node: XmlNode) -> int:
-        normalized, text_bytes = _node_record_value(node)
+    def remove_value(self, normalized: str) -> None:
+        """Retract one node recorded by :meth:`add_value`."""
         self.node_count -= 1
         if normalized:
             remaining = self.values[normalized] - 1
@@ -492,7 +487,6 @@ class _PathAccumulator:
                         else:
                             self.min_value = None
                             self.max_value = None
-        return text_bytes
 
     def to_statistics(self, path: str) -> PathStatistics:
         return PathStatistics(
@@ -524,19 +518,23 @@ class StatisticsAccumulator:
     # ------------------------------------------------------------------
     @classmethod
     def from_store(cls, store: ColumnarStore) -> "StatisticsAccumulator":
-        """The accumulator of ``store``'s documents: per distinct path,
-        its nodes grouped per document, recorded by the same code the
-        delta path runs."""
+        """The accumulator of ``store``'s documents, read off its
+        postings: per live path its document count, its nodes'
+        normalized values from the values column (the same
+        :func:`~repro.xmldb.nodes.normalized_node_value` the delta path
+        applies), recorded once per distinct value with its multiplicity,
+        and only the text-byte charge from the nodes themselves."""
         accumulator = cls()
         accumulator.document_count = store.document_count
-        for path, groups in store.path_groups():
-            if not groups:
-                continue  # the path's last document was removed
+        value_at = store.values.__getitem__
+        node_at = store.node_at
+        for path, postings, documents in store.path_postings():
             entry = accumulator._paths[path] = _PathAccumulator()
-            entry.document_count = len(groups)
-            for nodes in groups:
-                for node in nodes:
-                    accumulator.total_text_bytes += entry.add_node(node)
+            entry.document_count = documents
+            for value, count in Counter(map(value_at, postings)).items():
+                entry.add_value(value, count)
+            accumulator.total_text_bytes += sum(
+                map(_text_bytes, map(node_at, postings)))
         return accumulator
 
     # ------------------------------------------------------------------
@@ -556,7 +554,8 @@ class StatisticsAccumulator:
                 entry = self._paths[path] = _PathAccumulator()
             entry.document_count += 1
             for node in nodes:
-                self.total_text_bytes += entry.add_node(node)
+                entry.add_value(normalized_node_value(node))
+                self.total_text_bytes += _text_bytes(node)
 
     def remove_document(self, document: "DocumentDelta") -> None:
         self.document_count -= 1
@@ -564,7 +563,8 @@ class StatisticsAccumulator:
             entry = self._paths[path]
             entry.document_count -= 1
             for node in nodes:
-                self.total_text_bytes -= entry.remove_node(node)
+                entry.remove_value(normalized_node_value(node))
+                self.total_text_bytes -= _text_bytes(node)
             if entry.node_count == 0:
                 del self._paths[path]
 

@@ -7,11 +7,12 @@ typed tree of nodes with stable node identifiers, parent/child links, and
 simple-path information that the statistics collector and the path
 indexes rely on.
 
-The parser is intentionally small and non-validating: it handles
-elements, attributes, text, comments, processing instructions, CDATA,
-character/entity references, and both UTF-8 strings and bytes.  It does
-not handle DTDs beyond skipping them, external entities (deliberately,
-for safety), or namespaces beyond preserving prefixed names verbatim.
+The parser is a non-validating builder over stdlib expat events: it
+handles elements, attributes, text, comments, processing instructions,
+CDATA, character and predefined entity references, and both UTF-8
+strings and bytes.  It loads no DTD, refuses entity declarations and
+undeclared entities (deliberately, for safety), and handles namespaces
+only by preserving prefixed names verbatim.
 That subset covers everything the XMark and TPoX style documents used in
 the paper's demonstration need.
 """

@@ -16,14 +16,14 @@ subset that an XML path index needs:
   pattern indexes are declared ``AS SQL VARCHAR(n)`` / ``AS SQL DOUBLE``
   and only index nodes whose value can be cast to the declared type.
 
-Node trees are built either by :mod:`repro.xmldb.parser` or
-programmatically by the workload generators.
+Node trees are built either by :mod:`repro.xmldb.parser` (which links
+and numbers nodes directly as they are created) or programmatically by
+the workload generators.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.xmldb.errors import XmlNodeError
@@ -296,17 +296,20 @@ class DocumentNode(XmlNode):
 
         Node ids are pre-order positions, so ``a.node_id < b.node_id``
         iff ``a`` precedes ``b`` in document order.  Attributes are
-        numbered right after their owning element.
+        numbered right after their owning element.  One iterative pass,
+        so any depth the parser accepts is numbered without recursion.
         """
-        counter = itertools.count()
-        self.node_id = next(counter)
-        for node in self.descendants():
-            node.node_id = next(counter)
+        counter = 0
+        stack: List[XmlNode] = [self]
+        while stack:
+            node = stack.pop()
+            node.node_id = counter
+            counter += 1
             for attr in node.attributes:
-                attr.node_id = next(counter)
-        return self.node_id + sum(1 for _ in self.descendants()) + sum(
-            len(n.attributes) for n in self.descendants()
-        ) + 1
+                attr.node_id = counter
+                counter += 1
+            stack.extend(reversed(node.children))
+        return counter
 
     def total_nodes(self) -> int:
         """Count all nodes (document, elements, attributes, text, ...)."""

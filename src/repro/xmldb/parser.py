@@ -1,27 +1,59 @@
-"""A small, safe, non-validating XML parser.
+"""A safe, non-validating XML parser driven by expat events.
 
-The parser builds :class:`repro.xmldb.nodes.DocumentNode` trees directly,
-assigning document-order node ids as it goes.  It supports the XML
-features the XMark / TPoX style documents exercise:
+One :func:`xml.parsers.expat.ParserCreate` parser streams start-tag,
+end-tag, character-data, comment, processing-instruction and
+CDATA-boundary events into a builder that links
+:class:`repro.xmldb.nodes.DocumentNode` trees directly:
 
-* elements with attributes (single or double quoted),
-* text content with the five predefined entities and numeric character
-  references,
-* comments, CDATA sections, processing instructions,
-* an XML declaration and an (ignored) internal DTD subset.
+* a run of character data is buffered and becomes one text node at the
+  next element, comment, PI or CDATA boundary, and every CDATA section is
+  a text node of its own (an empty section included);
+* nodes are numbered as they are created -- the element, then its
+  attributes, then its children -- which is exactly
+  :meth:`~repro.xmldb.nodes.DocumentNode.assign_node_ids`'s document
+  order, so no numbering pass follows;
+* comments and PIs outside the root element belong to the document;
+  whitespace outside it is dropped; a PI's data is stripped.
 
-It deliberately does **not** resolve external entities or fetch DTDs, so
-it is safe to run on untrusted workload documents.  Namespace prefixes
-are preserved as part of the node name (``ns:tag``) which is all the
-index advisor needs.
+Safety: no DTD or external entity is ever loaded (no external-entity
+handler is installed and parameter-entity parsing stays off); an entity
+*declaration* is an error, so nothing can expand; a reference to an
+undeclared entity is an error even when the DOCTYPE names an external
+subset (where expat would otherwise skip it silently); attributes
+defaulted by an ``ATTLIST`` are not reported.  Element nesting deeper
+than :data:`MAX_DEPTH` is an error, so the recursive tree walks
+downstream (delta capture, store encoding, serialization) stay within
+the interpreter's recursion limit.  Every failure is an
+:class:`~repro.xmldb.errors.XmlParseError` with a 1-based line and
+column.  Namespace prefixes are kept as part of the node name
+(``ns:tag``), which is all the index advisor needs.
+
+Bytes are decoded as UTF-8 (whatever the XML declaration says), and
+whitespace before the XML declaration is accepted.  Where the previous
+hand-written parser (kept as the oracle in
+``tests/reference/xml_parser_reference.py``) was more lenient than
+XML 1.0, this one follows the spec:
+
+* CR LF and lone CR in text become LF (XML 1.0 section 2.11);
+* TAB, LF and CR in an attribute value become spaces (section 3.3.3),
+  and a value declared with a tokenized type in the internal subset is
+  further collapsed;
+* ``<`` inside an attribute value, a duplicate attribute, and an entity
+  declaration are errors.
+
+:func:`repro.xmldb.serializer.serialize` escapes those characters as
+character references, so serialize-then-parse is the identity.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+import itertools
+from typing import Callable, List, Union
+from xml.parsers import expat
 
 from repro.xmldb.errors import XmlParseError
 from repro.xmldb.nodes import (
+    AttributeNode,
     CommentNode,
     DocumentNode,
     ElementNode,
@@ -30,28 +62,16 @@ from repro.xmldb.nodes import (
     XmlNode,
 )
 
-_PREDEFINED_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "apos": "'",
-    "quot": '"',
-}
+#: Deepest element nesting accepted; a deeper start tag is a parse error.
+MAX_DEPTH = 512
 
-_NAME_START_EXTRA = set("_:")
-_NAME_EXTRA = set("_:-.")
-
-
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
+#: The element that wraps a fragment so expat sees a single root.
+_FRAGMENT_OPEN = "<fragment>"
+_FRAGMENT_CLOSE = "</fragment>"
 
 
 class XmlParser:
-    """Recursive-descent XML parser producing node trees.
+    """Expat-driven XML parser producing node trees.
 
     A parser instance is single-use: create one per document (or use the
     module-level :func:`parse_document` helper).
@@ -61,7 +81,6 @@ class XmlParser:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         self._text = text
-        self._pos = 0
         self._uri = uri
 
     # ------------------------------------------------------------------
@@ -69,231 +88,119 @@ class XmlParser:
     # ------------------------------------------------------------------
     def parse(self) -> DocumentNode:
         """Parse the input and return the document node."""
+        text = self._text
+        body = text.lstrip()  # expat rejects whitespace before <?xml
+        skipped = text[:len(text) - len(body)]
         doc = DocumentNode(uri=self._uri)
-        self._skip_prolog(doc)
-        self._skip_whitespace_and_misc(doc)
-        if self._peek() != "<":
-            raise self._error("expected root element")
-        root = self._parse_element()
-        doc.append_child(root)
-        self._skip_whitespace_and_misc(doc)
-        if self._pos != len(self._text):
-            raise self._error("unexpected content after root element")
-        doc.assign_node_ids()
+        _build(doc, body, itertools.count().__next__, MAX_DEPTH,
+               line_shift=skipped.count("\n"),
+               column_shift=len(skipped) - (skipped.rfind("\n") + 1))
         return doc
 
     def parse_fragment(self) -> List[XmlNode]:
-        """Parse a sequence of top-level nodes (no single-root requirement)."""
-        nodes: List[XmlNode] = []
-        while self._pos < len(self._text):
-            if self._peek() == "<":
-                if self._lookahead("<!--"):
-                    nodes.append(self._parse_comment())
-                elif self._lookahead("<?"):
-                    nodes.append(self._parse_pi())
-                else:
-                    nodes.append(self._parse_element())
-            else:
-                text = self._parse_text()
-                if text.value.strip():
-                    nodes.append(text)
+        """Parse a sequence of top-level nodes (no single-root requirement).
+
+        Whitespace-only text between them is dropped; the nodes come back
+        detached and unnumbered (``node_id`` -1).
+        """
+        holder = DocumentNode()
+        _build(holder, _FRAGMENT_OPEN + self._text + _FRAGMENT_CLOSE,
+               itertools.repeat(-1).__next__, MAX_DEPTH + 1,
+               line_shift=0, column_shift=-len(_FRAGMENT_OPEN))
+        nodes = [node for node in holder.children[0].children
+                 if not isinstance(node, TextNode) or node.value.strip()]
+        for node in nodes:
+            node.parent = None
         return nodes
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        pos = self._pos + offset
-        return self._text[pos] if pos < len(self._text) else ""
 
-    def _lookahead(self, token: str) -> bool:
-        return self._text.startswith(token, self._pos)
+def _build(holder: XmlNode, text: str, next_id: Callable[[], int],
+           depth_limit: int, line_shift: int, column_shift: int) -> None:
+    """Run one expat parse of ``text``, linking the nodes under
+    ``holder`` and numbering them with ``next_id`` in creation order.
 
-    def _advance(self, count: int = 1) -> None:
-        self._pos += count
+    ``line_shift`` / ``column_shift`` map expat's positions in ``text``
+    back to the caller's input (the column shift applies on line 1).
+    """
+    parser = expat.ParserCreate()
+    parser.ordered_attributes = True
+    parser.specified_attributes = True
+    parser.buffer_text = True
+    holder.node_id = next_id()
+    stack: List[XmlNode] = [holder]  # stack[-1] is the open parent
+    pending: List[str] = []  # the character data of the current text run
 
-    def _expect(self, token: str) -> None:
-        if not self._lookahead(token):
-            raise self._error(f"expected {token!r}")
-        self._advance(len(token))
+    def error(message: str, line: int, column: int) -> XmlParseError:
+        """An error at expat's (1-based line, 0-based column)."""
+        if line == 1:
+            column += column_shift
+        return XmlParseError(message, line=line + line_shift, column=column + 1)
 
-    def _position(self) -> Tuple[int, int]:
-        consumed = self._text[: self._pos]
-        line = consumed.count("\n") + 1
-        column = self._pos - (consumed.rfind("\n") + 1) + 1
-        return line, column
+    def here(message: str) -> XmlParseError:
+        return error(message, parser.CurrentLineNumber, parser.CurrentColumnNumber)
 
-    def _error(self, message: str) -> XmlParseError:
-        line, column = self._position()
-        return XmlParseError(message, line=line, column=column)
+    def link(node: XmlNode) -> None:
+        """Attach ``node`` as the open parent's last child, numbered next."""
+        parent = stack[-1]
+        node.parent = parent
+        node.node_id = next_id()
+        parent.children.append(node)
 
-    def _skip_whitespace(self) -> None:
-        while self._pos < len(self._text) and self._text[self._pos].isspace():
-            self._pos += 1
+    def flush_text() -> None:
+        link(TextNode("".join(pending)))
+        pending.clear()
 
-    def _skip_prolog(self, doc: DocumentNode) -> None:
-        self._skip_whitespace()
-        if self._lookahead("<?xml"):
-            end = self._text.find("?>", self._pos)
-            if end == -1:
-                raise self._error("unterminated XML declaration")
-            self._pos = end + 2
-
-    def _skip_whitespace_and_misc(self, doc: DocumentNode) -> None:
-        """Skip whitespace, comments, PIs and DOCTYPE between prolog and root."""
-        while True:
-            self._skip_whitespace()
-            if self._lookahead("<!--"):
-                doc.append_child(self._parse_comment())
-            elif self._lookahead("<!DOCTYPE"):
-                self._skip_doctype()
-            elif self._lookahead("<?"):
-                doc.append_child(self._parse_pi())
-            else:
-                return
-
-    def _skip_doctype(self) -> None:
-        # Skip the DOCTYPE declaration, including an internal subset in [...].
-        depth = 0
-        while self._pos < len(self._text):
-            ch = self._text[self._pos]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == ">" and depth <= 0:
-                self._pos += 1
-                return
-            self._pos += 1
-        raise self._error("unterminated DOCTYPE declaration")
-
-    def _parse_name(self) -> str:
-        start = self._pos
-        if self._pos >= len(self._text) or not _is_name_start(self._text[self._pos]):
-            raise self._error("expected a name")
-        self._pos += 1
-        while self._pos < len(self._text) and _is_name_char(self._text[self._pos]):
-            self._pos += 1
-        return self._text[start:self._pos]
-
-    def _parse_attribute_value(self) -> str:
-        quote = self._peek()
-        if quote not in ("'", '"'):
-            raise self._error("expected quoted attribute value")
-        self._advance()
-        end = self._text.find(quote, self._pos)
-        if end == -1:
-            raise self._error("unterminated attribute value")
-        raw = self._text[self._pos:end]
-        self._pos = end + 1
-        return self._expand_entities(raw)
-
-    def _expand_entities(self, raw: str) -> str:
-        if "&" not in raw:
-            return raw
-        out: List[str] = []
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch != "&":
-                out.append(ch)
-                i += 1
-                continue
-            end = raw.find(";", i)
-            if end == -1:
-                raise self._error("unterminated entity reference")
-            entity = raw[i + 1:end]
-            if entity.startswith("#x") or entity.startswith("#X"):
-                out.append(chr(int(entity[2:], 16)))
-            elif entity.startswith("#"):
-                out.append(chr(int(entity[1:])))
-            elif entity in _PREDEFINED_ENTITIES:
-                out.append(_PREDEFINED_ENTITIES[entity])
-            else:
-                raise self._error(f"unknown entity &{entity};")
-            i = end + 1
-        return "".join(out)
-
-    def _parse_element(self) -> ElementNode:
-        self._expect("<")
-        name = self._parse_name()
+    def start_element(name: str, attributes: List[str]) -> None:
+        if pending:
+            flush_text()
+        if len(stack) > depth_limit:
+            raise here(f"element nesting deeper than {MAX_DEPTH}")
         element = ElementNode(name)
-        # Attributes
-        while True:
-            self._skip_whitespace()
-            ch = self._peek()
-            if ch == "/":
-                self._expect("/>")
-                return element
-            if ch == ">":
-                self._advance()
-                break
-            attr_name = self._parse_name()
-            self._skip_whitespace()
-            self._expect("=")
-            self._skip_whitespace()
-            element.set_attribute(attr_name, self._parse_attribute_value())
-        # Content
-        while True:
-            if self._pos >= len(self._text):
-                raise self._error(f"unterminated element <{name}>")
-            if self._lookahead("</"):
-                self._advance(2)
-                close_name = self._parse_name()
-                if close_name != name:
-                    raise self._error(
-                        f"mismatched closing tag </{close_name}> for <{name}>")
-                self._skip_whitespace()
-                self._expect(">")
-                return element
-            if self._lookahead("<!--"):
-                element.append_child(self._parse_comment())
-            elif self._lookahead("<![CDATA["):
-                element.append_child(self._parse_cdata())
-            elif self._lookahead("<?"):
-                element.append_child(self._parse_pi())
-            elif self._peek() == "<":
-                element.append_child(self._parse_element())
-            else:
-                text = self._parse_text()
-                if text.value:
-                    element.append_child(text)
+        link(element)
+        if attributes:
+            owned = element.attributes
+            for index in range(0, len(attributes), 2):
+                attribute = AttributeNode(attributes[index], attributes[index + 1])
+                attribute.parent = element
+                attribute.node_id = next_id()
+                owned.append(attribute)
+        stack.append(element)
 
-    def _parse_text(self) -> TextNode:
-        end = self._text.find("<", self._pos)
-        if end == -1:
-            end = len(self._text)
-        raw = self._text[self._pos:end]
-        self._pos = end
-        return TextNode(self._expand_entities(raw))
+    def end_element(_name: str) -> None:
+        if pending:
+            flush_text()
+        stack.pop()
 
-    def _parse_cdata(self) -> TextNode:
-        self._expect("<![CDATA[")
-        end = self._text.find("]]>", self._pos)
-        if end == -1:
-            raise self._error("unterminated CDATA section")
-        value = self._text[self._pos:end]
-        self._pos = end + 3
-        return TextNode(value)
+    def leaf(node: XmlNode) -> None:
+        if pending:
+            flush_text()
+        link(node)
 
-    def _parse_comment(self) -> CommentNode:
-        self._expect("<!--")
-        end = self._text.find("-->", self._pos)
-        if end == -1:
-            raise self._error("unterminated comment")
-        value = self._text[self._pos:end]
-        self._pos = end + 3
-        return CommentNode(value)
+    def start_cdata() -> None:
+        if pending:
+            flush_text()
 
-    def _parse_pi(self) -> ProcessingInstructionNode:
-        self._expect("<?")
-        target = self._parse_name()
-        end = self._text.find("?>", self._pos)
-        if end == -1:
-            raise self._error("unterminated processing instruction")
-        value = self._text[self._pos:end].strip()
-        self._pos = end + 2
-        return ProcessingInstructionNode(target, value)
+    def refuse_entity_declaration(name: str, *_details: object) -> None:
+        raise here(f"entity declaration <!ENTITY {name}> is not supported")
+
+    def refuse_skipped_entity(name: str, _is_parameter_entity: bool) -> None:
+        raise here(f"unknown entity &{name};")
+
+    parser.StartElementHandler = start_element
+    parser.EndElementHandler = end_element
+    parser.CharacterDataHandler = pending.append
+    parser.CommentHandler = lambda data: leaf(CommentNode(data))
+    parser.ProcessingInstructionHandler = \
+        lambda target, data: leaf(ProcessingInstructionNode(target, data.strip()))
+    parser.StartCdataSectionHandler = start_cdata
+    parser.EndCdataSectionHandler = flush_text  # even an empty section
+    parser.EntityDeclHandler = refuse_entity_declaration
+    parser.SkippedEntityHandler = refuse_skipped_entity
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as failure:
+        raise error(expat.ErrorString(failure.code), failure.lineno,
+                    failure.offset) from None
 
 
 def parse_document(text: Union[str, bytes], uri: str = "") -> DocumentNode:

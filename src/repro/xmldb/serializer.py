@@ -1,7 +1,10 @@
 """Serialize node trees back to XML text.
 
 Round-tripping is used by the document store when exporting generated
-workload documents and by tests that check parser/serializer symmetry.
+workload documents and by tests that check parser/serializer symmetry:
+``parse_document(serialize(doc))`` reproduces every text and attribute
+value, because the characters a parser normalizes are written as
+character references.
 """
 
 from __future__ import annotations
@@ -13,15 +16,25 @@ from repro.xmldb.nodes import NodeKind, XmlNode
 
 
 def _escape_text(value: str) -> str:
+    # CR as a character reference: a parser turns a literal CR into LF
+    # (XML 1.0 section 2.11).
     return (
         value.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
+        .replace("\r", "&#13;")
     )
 
 
 def _escape_attribute(value: str) -> str:
-    return _escape_text(value).replace('"', "&quot;")
+    # TAB / LF / CR as character references: a parser turns them into
+    # spaces in attribute values (XML 1.0 section 3.3.3).
+    return (
+        _escape_text(value)
+        .replace('"', "&quot;")
+        .replace("\t", "&#9;")
+        .replace("\n", "&#10;")
+    )
 
 
 def serialize(node: XmlNode, indent: bool = False) -> str:

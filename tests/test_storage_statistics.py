@@ -63,6 +63,54 @@ class TestCollection:
         assert c_stat.total_value_bytes == len("inner")
 
 
+#: Documents whose text-byte charge (element direct text stripped,
+#: attribute values as written) differs from the normalized value
+#: lengths: blank and newline runs inside values, padded attribute
+#: values, mixed content with several text children, CDATA next to
+#: text, and empty elements.  Charges: 8, 17, 18 and 7 bytes.
+_UNEVEN_TEXT = [
+    "<r><v>a  \n  b</v><v>  7 </v><e/><e></e></r>",
+    '<r><v k="  7  ">x\n\n y</v><v k=" a  b ">8</v></r>',
+    "<r><m>one <b>1</b> two <b>2</b>  three </m><e/></r>",
+    "<r><c>a<![CDATA[ b ]]> c</c><c><![CDATA[]]>  </c><v>9</v></r>",
+]
+
+
+def _fields(stats):
+    return stats.total_text_bytes, {
+        path: (stat.node_count, stat.document_count, stat.total_value_bytes,
+               stat.distinct_values, stat.numeric_count, stat.min_value,
+               stat.max_value)
+        for path, stat in stats.path_stats.items()}
+
+
+class TestTextByteCharge:
+    def test_store_build_equals_delta_path_and_collection(self):
+        from repro.storage.columnar import build_columnar_store
+        from repro.storage.document_store import XmlCollection
+        from repro.storage.statistics import StatisticsAccumulator
+
+        collection = XmlCollection("c")
+        collection.add_document(_UNEVEN_TEXT[0])
+        assert collection.statistics.total_text_bytes == 8  # primes the delta path
+        steps = [("add", 1), ("add", 2), ("remove", 0), ("add", 3),
+                 ("remove", 1), ("add", 0), ("add", 2)]
+        for operation, which in steps:
+            if operation == "add":
+                collection.add_document(_UNEVEN_TEXT[which])
+            else:
+                collection.remove_document(which)
+            documents = collection.documents
+            maintained = _fields(collection.statistics)
+            assert maintained == _fields(StatisticsAccumulator.from_store(
+                build_columnar_store(documents)).snapshot())
+            assert maintained == _fields(collect_statistics(documents))
+        assert len(collection) == 4
+        assert collection.statistics.total_text_bytes == 8 + 17 + 18 + 7
+        assert collection.statistics.path_stats["/r/m"].total_value_bytes \
+            == len("one two three")
+
+
 class TestPatternAggregation:
     def test_cardinality_over_wildcard_pattern(self, stats):
         pattern = PathPattern.parse("/site/regions/*/item")

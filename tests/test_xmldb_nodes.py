@@ -156,6 +156,23 @@ class TestDocumentNode:
         assert root.node_id < a.node_id < b.node_id
         assert b.attributes[0].node_id > b.node_id
 
+    def test_assign_node_ids_on_generated_documents(self, xmark_database,
+                                                    tpox_database):
+        """The one-pass numbering equals the pre-order definition (each
+        node from ``descendants()``, its attributes right after it), and
+        its return value is ``total_nodes()``."""
+        for database in (xmark_database, tpox_database):
+            for document in database.all_documents():
+                expected = [document]
+                for node in document.descendants():
+                    expected.append(node)
+                    expected.extend(node.attributes)
+                for node in expected:
+                    node.node_id = -1
+                assert document.assign_node_ids() == document.total_nodes()
+                assert [node.node_id for node in expected] \
+                    == list(range(len(expected)))
+
     def test_total_nodes_counts_everything(self):
         doc, root = build_document("site")
         child = root.add_element("a", text="1", attributes={"id": "x"})

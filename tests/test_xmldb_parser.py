@@ -6,7 +6,7 @@ import pytest
 
 from repro.xmldb.errors import XmlParseError
 from repro.xmldb.nodes import NodeKind
-from repro.xmldb.parser import parse_document, parse_fragment
+from repro.xmldb.parser import MAX_DEPTH, parse_document, parse_fragment
 
 
 class TestBasicParsing:
@@ -72,6 +72,20 @@ class TestEntitiesAndSpecialContent:
         doc = parse_document("<a><![CDATA[<not><parsed>&amp;]]></a>")
         assert doc.root_element.string_value() == "<not><parsed>&amp;"
 
+    def test_cdata_sections_are_text_nodes_of_their_own(self):
+        doc = parse_document("<a>x<![CDATA[y]]>z<![CDATA[]]></a>")
+        assert [c.value for c in doc.root_element.children] == ["x", "y", "z", ""]
+
+    def test_ids_follow_element_then_attributes_then_children(self):
+        doc = parse_document('<!--c--><a p="1" q="2"><b r="3"/>t</a>')
+        root = doc.root_element
+        b = root.children[0]
+        assert [doc.node_id, doc.children[0].node_id, root.node_id] == [0, 1, 2]
+        assert [a.node_id for a in root.attributes] == [3, 4]
+        assert [b.node_id, b.attributes[0].node_id, root.children[1].node_id] \
+            == [5, 6, 7]
+        assert doc.total_nodes() == 8
+
     def test_comments_are_kept(self):
         doc = parse_document("<a><!-- note --><b/></a>")
         kinds = [c.kind for c in doc.root_element.children]
@@ -85,21 +99,26 @@ class TestEntitiesAndSpecialContent:
         assert "css" in pi.value
 
 
+#: Inputs both this parser and the reference it replaced must reject
+#: (``test_xml_parser_differential.py`` runs them through both).
+MALFORMED_DOCUMENTS = [
+    "",
+    "   ",
+    "<a>",                      # unterminated
+    "<a></b>",                  # mismatched close
+    "<a><b></a></b>",           # interleaved
+    "<a attr></a>",             # attribute without value
+    "<a attr=value/>",          # unquoted attribute
+    "<a>&unknown;</a>",         # unknown entity
+    "<a/><b/>",                 # two roots
+    "text only",                # no element
+    "<a><!-- unterminated </a>",
+    "<1abc/>",                  # invalid name start
+]
+
+
 class TestErrors:
-    @pytest.mark.parametrize("text", [
-        "",
-        "   ",
-        "<a>",                      # unterminated
-        "<a></b>",                  # mismatched close
-        "<a><b></a></b>",           # interleaved
-        "<a attr></a>",             # attribute without value
-        "<a attr=value/>",          # unquoted attribute
-        "<a>&unknown;</a>",         # unknown entity
-        "<a/><b/>",                 # two roots
-        "text only",                # no element
-        "<a><!-- unterminated </a>",
-        "<1abc/>",                  # invalid name start
-    ])
+    @pytest.mark.parametrize("text", MALFORMED_DOCUMENTS)
     def test_malformed_documents_raise(self, text):
         with pytest.raises(XmlParseError):
             parse_document(text)
@@ -109,6 +128,110 @@ class TestErrors:
             parse_document("<a>\n  <b></c>\n</a>")
         assert excinfo.value.line == 2
         assert excinfo.value.column > 0
+
+    def test_position_counts_whitespace_before_the_declaration(self):
+        # The whitespace is skipped before expat sees the declaration;
+        # positions still refer to the caller's text.
+        with pytest.raises(XmlParseError) as excinfo:
+            parse_document('\n\n  <?xml version="1.0"?>\n<a></b>')
+        assert (excinfo.value.line, excinfo.value.column) == (4, 6)
+        with pytest.raises(XmlParseError) as excinfo:
+            parse_document("   <a></b>")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 9)
+
+    def test_fragment_position_ignores_the_wrapper(self):
+        with pytest.raises(XmlParseError) as excinfo:
+            parse_fragment("<a></b>")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 6)
+
+
+class TestSafety:
+    def test_entity_declaration_is_an_error(self):
+        # Nothing can expand: a billion-laughs prologue fails on its first
+        # declaration (the reference parser skipped the subset).
+        with pytest.raises(XmlParseError, match="entity declaration") as excinfo:
+            parse_document('<!DOCTYPE a [\n <!ENTITY l "lol">\n'
+                           ' <!ENTITY l2 "&l;&l;&l;">]><a>&l2;</a>')
+        assert excinfo.value.line == 2
+
+    def test_unknown_entity_with_external_subset_is_an_error(self):
+        # expat would skip the reference silently when the DOCTYPE names
+        # an external subset; the DTD is never loaded.
+        with pytest.raises(XmlParseError, match="unknown entity &u;"):
+            parse_document('<!DOCTYPE a SYSTEM "a.dtd"><a>&u;</a>')
+
+    def test_attlist_defaults_are_not_reported(self):
+        doc = parse_document('<!DOCTYPE a [<!ATTLIST a d CDATA "x">]><a/>')
+        assert doc.root_element.attributes == []
+
+
+class TestSpecNormalization:
+    """Where XML 1.0 says the parser normalizes, it does (the
+    hand-written parser it replaced kept the raw characters)."""
+
+    def test_line_ends_in_text_become_line_feeds(self):
+        doc = parse_document("<a>x\r\ny\rz<![CDATA[\r\n]]></a>")
+        assert [t.value for t in doc.root_element.children] == ["x\ny\nz", "\n"]
+
+    def test_attribute_whitespace_becomes_spaces(self):
+        doc = parse_document('<a v="1\t2\n3\r\n4\r5"/>')
+        assert doc.root_element.get_attribute("v") == "1 2 3 4 5"
+
+    def test_character_references_are_not_normalized(self):
+        doc = parse_document('<a v="1&#9;2&#10;3&#13;">x&#13;</a>')
+        assert doc.root_element.get_attribute("v") == "1\t2\n3\r"
+        assert doc.root_element.string_value() == "x\r"
+
+    def test_lt_in_attribute_value_is_an_error(self):
+        with pytest.raises(XmlParseError):
+            parse_document('<a v="1<2"/>')
+
+    def test_duplicate_attribute_is_an_error(self):
+        with pytest.raises(XmlParseError, match="duplicate attribute"):
+            parse_document('<a v="1" v="2"/>')
+
+
+class TestDepthLimit:
+    @staticmethod
+    def _nested(depth):
+        return "<n>" * (depth - 1) + '<n k="v">x</n>' + "</n>" * (depth - 1)
+
+    def test_max_depth_goes_end_to_end(self):
+        from repro.executor.executor import QueryExecutor
+        from repro.storage import XmlDatabase
+        from repro.xmldb.serializer import serialize
+
+        text = self._nested(MAX_DEPTH)
+        database = XmlDatabase("deep")
+        collection = database.create_collection("c")
+        document = collection.add_document(text)
+        assert collection.columnar_store.node_count == MAX_DEPTH + 1
+        assert len(collection.statistics.path_stats) == MAX_DEPTH + 1
+        assert database.statistics.total_element_count == MAX_DEPTH
+        query = '//n[@k = "v"]'
+        engine = QueryExecutor(database).execute(query, extract_values=True)
+        interpreter = QueryExecutor(database, use_columnar=False).execute(
+            query, extract_values=True)
+        assert engine.result_count == 1
+        assert (engine.result_count, engine.extracted_values) \
+            == (interpreter.result_count, interpreter.extracted_values)
+        serialized = serialize(document)
+        assert serialize(parse_document(serialized)) == serialized
+
+    def test_deeper_nesting_is_a_parse_error_at_the_tag(self):
+        with pytest.raises(XmlParseError,
+                           match=f"element nesting deeper than {MAX_DEPTH}") as excinfo:
+            parse_document(self._nested(MAX_DEPTH + 1))
+        assert (excinfo.value.line, excinfo.value.column) == (1, 3 * MAX_DEPTH + 1)
+
+    def test_far_deeper_nesting_is_not_a_recursion_error(self):
+        with pytest.raises(XmlParseError):
+            parse_document(self._nested(1500))
+
+    def test_fragments_get_the_same_limit(self):
+        assert len(parse_fragment(self._nested(MAX_DEPTH))) == 1
+        with pytest.raises(XmlParseError):
+            parse_fragment(self._nested(MAX_DEPTH + 1))
 
 
 class TestFragmentParsing:

@@ -24,14 +24,9 @@ from repro.advisor.config import AdvisorParameters, SearchAlgorithm
 from repro.advisor.enumeration import create_search
 from repro.index.definition import IndexConfiguration
 from repro.tools.report import render_table
-from repro.tools.whatif_compare import compare_search_modes
 from repro.xquery.normalizer import normalize_workload
 
 BUDGET_FRACTIONS = (0.1, 0.25, 0.5, 1.0)
-
-#: The incremental engine must cut per-query what-if costings by at
-#: least this factor over the whole E3 budget sweep.
-MIN_WHATIF_RATIO = 5.0
 
 
 def _prepare(database, workload):
@@ -97,51 +92,6 @@ def test_e3_generalization_dag_and_search(benchmark, xmark_db, xmark_train):
     for algorithm in SearchAlgorithm:
         benefits = [by_key[(f, algorithm.value)]["benefit"] for f in BUDGET_FRACTIONS]
         assert all(b2 >= b1 - 1e-6 for b1, b2 in zip(benefits, benefits[1:]))
-
-
-def _report_incremental(tag, sweep):
-    table = render_table(
-        ["budget (xovertrained)", "algorithm", "identical",
-         "legacy costings", "incremental costings", "ratio"],
-        [[f"{row.budget_fraction:.2f}", row.algorithm,
-          "yes" if row.identical else "NO",
-          row.legacy_costings, row.incremental_costings,
-          f"{row.costings_ratio:.1f}x"]
-         for row in sweep.rows])
-    legacy, incr = sweep.totals["legacy"], sweep.totals["incremental"]
-    print_section(
-        f"E3 - incremental what-if engine vs legacy full re-evaluation ({tag})",
-        table + f"\ntotal what-if costings: {legacy['costings']} legacy"
-                f" -> {incr['costings']} incremental "
-                f"({sweep.costings_ratio:.1f}x fewer)\n"
-                f"search wall time: {legacy['seconds'] * 1000:.0f}ms"
-                f" -> {incr['seconds'] * 1000:.0f}ms "
-                f"({sweep.time_speedup:.1f}x faster)")
-    assert sweep.identical, "incremental search diverged from legacy"
-    assert sweep.costings_ratio >= MIN_WHATIF_RATIO, (
-        f"what-if savings regressed: {sweep.costings_ratio:.1f}x "
-        f"< {MIN_WHATIF_RATIO}x")
-
-
-def test_e3_incremental_whatif_xmark(benchmark, xmark_db, xmark_train):
-    """Incremental + lazy-greedy must match legacy recommendations on the
-    XMark search byte-for-byte with >= 5x fewer what-if costings."""
-    sweep = benchmark.pedantic(compare_search_modes,
-                               args=(xmark_db, xmark_train),
-                               kwargs={"budget_fractions": BUDGET_FRACTIONS},
-                               rounds=1, iterations=1)
-    _report_incremental("XMark", sweep)
-
-
-def test_e3_incremental_whatif_tpox(benchmark, tpox_db, tpox_mixed):
-    """Same equivalence + savings guard on the TPoX mixed workload
-    (updates charge maintenance; multi-predicate queries exercise the
-    volatile eager re-evaluation path of the lazy-greedy queue)."""
-    sweep = benchmark.pedantic(compare_search_modes,
-                               args=(tpox_db, tpox_mixed),
-                               kwargs={"budget_fractions": BUDGET_FRACTIONS},
-                               rounds=1, iterations=1)
-    _report_incremental("TPoX", sweep)
 
 
 def test_e3_ablation_index_interaction(benchmark, xmark_db, xmark_train):

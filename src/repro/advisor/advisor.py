@@ -11,7 +11,7 @@ analysis tooling, the CLI, and the benchmarks consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.advisor.benefit import ConfigurationBenefit, ConfigurationEvaluator
 from repro.advisor.candidates import CandidateSet, enumerate_basic_candidates
@@ -61,10 +61,6 @@ class Recommendation:
     @property
     def total_size_bytes(self) -> float:
         return self.benefit.total_size_bytes
-
-    @property
-    def index_definitions(self) -> List[IndexDefinition]:
-        return self.configuration.definitions
 
     def ddl_statements(self) -> List[str]:
         """CREATE INDEX statements for the recommended configuration."""
@@ -119,10 +115,7 @@ class XmlIndexAdvisor:
         self.metrics = MetricsRegistry(
             parent=registry if registry is not None else global_registry())
         self.optimizer = Optimizer(
-            database, self.parameters.cost_parameters,
-            enable_plan_cache=self.parameters.enable_plan_cache,
-            use_collection_costing=self.parameters.use_collection_costing,
-            registry=self.metrics)
+            database, self.parameters.cost_parameters, registry=self.metrics)
 
     # ------------------------------------------------------------------
     # Pipeline steps (exposed individually for the demo/benchmarks)

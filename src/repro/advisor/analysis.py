@@ -17,7 +17,7 @@ module provides all of that programmatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.advisor.advisor import Recommendation
@@ -49,12 +49,6 @@ class QueryCostComparison:
         return self.cost_no_indexes / self.cost_recommended
 
     @property
-    def speedup_overtrained(self) -> float:
-        if self.cost_overtrained <= 0:
-            return float("inf")
-        return self.cost_no_indexes / self.cost_overtrained
-
-    @property
     def benefit_captured(self) -> float:
         """Fraction of the overtrained configuration's cost reduction that
         the recommended configuration achieves for this query (1.0 when the
@@ -74,9 +68,7 @@ class RecommendationAnalysis:
         self.database = database
         self.recommendation = recommendation
         self.parameters = parameters or recommendation.parameters
-        self.optimizer = Optimizer(
-            database, self.parameters.cost_parameters,
-            use_collection_costing=self.parameters.use_collection_costing)
+        self.optimizer = Optimizer(database, self.parameters.cost_parameters)
         self._overtrained = self._build_overtrained_configuration()
 
     # ------------------------------------------------------------------

@@ -21,13 +21,12 @@ Incremental what-if engine
 
 The configuration search evaluates thousands of closely-related
 configurations, so the evaluator is built around three incremental
-structures (all behind the ``AdvisorParameters.use_incremental`` escape
-hatch, which restores the legacy full re-evaluation):
+structures:
 
 * an **inverted relevance map** ``index key -> affected query ids``,
   computed once per (index pattern, value type) by a single
   pattern-containment pass over the workload's predicates and touched
-  patterns -- ``evaluate`` and the searches stop re-deriving relevance
+  patterns -- ``evaluate`` and the searches never re-derive relevance
   per call;
 * **delta evaluation**: :meth:`ConfigurationEvaluator.update` takes an
   already-evaluated base configuration plus the indexes added/removed,
@@ -37,7 +36,7 @@ hatch, which restores the legacy full re-evaluation):
   return, because a query's cost depends only on the subset of the
   configuration relevant to it;
 * per-query **memoization** keyed by ``(query id, relevant index
-  keys)``, shared with the legacy path.
+  keys)``.
 
 Invalidation contract: every public entry point revalidates against the
 database.  The evaluator polls a
@@ -47,16 +46,11 @@ only on workload and index patterns, never on data); per-query memo
 rows and baseline costs are re-costed only for the queries whose
 statistics inputs actually moved; and memoized index-size estimates
 whose patterns were untouched are carried onto the rebuilt statistics
-object.  With ``AdvisorParameters.use_collection_costing`` (the
-default) each query's cached costs are keyed to the per-collection
-data versions of its *routing set*: a document add to one collection
-re-costs only the queries routed there (plus any priced globally), and
-every other collection's rows stay valid and byte-exact -- the
-acceptance scenario the E7 benchmark counts.  Under the legacy global
-model a change to the whole-database aggregates instead stales *all*
-per-query costs and forces the full re-cost (the exactness guard) --
-the selective path then pays off only when the signature moves but the
-synopsis does not (RUNSTATS, empty-collection DDL, net-zero batches).
+object.  Each query's cached costs are keyed to the per-collection data
+versions of its *routing set*: a document add to one collection
+re-costs only the queries routed there (plus any priced against the
+whole database), and every other collection's rows stay valid and
+byte-exact.
 """
 
 from __future__ import annotations
@@ -74,7 +68,7 @@ from repro.storage.document_store import XmlDatabase
 from repro.storage.maintenance import DataChangeTracker
 from repro.telemetry import MetricsRegistry, global_registry
 from repro.xpath.patterns import pattern_contains
-from repro.xquery.model import NormalizedQuery, ValueType
+from repro.xquery.model import NormalizedQuery
 
 
 @snapshot_contract()
@@ -144,21 +138,12 @@ class ConfigurationEvaluator:
         self.database = database
         self.queries = list(queries)
         self.parameters = parameters or AdvisorParameters()
-        self.use_incremental = self.parameters.use_incremental
-        self.use_collection_costing = self.parameters.use_collection_costing
         #: Per-evaluator metrics; recordings also roll up into
         #: ``registry`` (or the process-global registry).
         self.metrics = MetricsRegistry(
             parent=registry if registry is not None else global_registry())
         self.optimizer = optimizer or Optimizer(
-            database, self.parameters.cost_parameters,
-            enable_plan_cache=self.parameters.enable_plan_cache,
-            use_collection_costing=self.use_collection_costing,
-            registry=self.metrics)
-        if optimizer is not None:
-            # Staleness decisions must mirror the model that priced the
-            # cached rows, so follow an injected optimizer's flag.
-            self.use_collection_costing = optimizer.use_collection_costing
+            database, self.parameters.cost_parameters, registry=self.metrics)
         self._baseline: Dict[str, float] = {}
         self._query_cache: Dict[Tuple[str, FrozenSet[Tuple[str, str]]],
                                 Tuple[float, Tuple[Tuple[str, str], ...]]] = {}
@@ -170,10 +155,10 @@ class ConfigurationEvaluator:
         #: absorbed.  Benefits are stamped with the epoch they were
         #: costed in so delta updates know which rows are reusable.
         self._epoch = 0
-        #: Query ids staled by the most recent absorbed change; ``None``
-        #: means "all of them" (aggregates moved under the global model).
-        self._last_stale: Optional[FrozenSet[str]] = None
-        #: Full-workload evaluations performed (legacy path + evaluate()).
+        #: Query ids staled by the most recent absorbed change.
+        self._last_stale: FrozenSet[str] = frozenset()
+        #: Full-workload evaluations performed (evaluate() and updates
+        #: whose base is too old to reuse any row).
         self._m_full_evaluations = self.metrics.counter(
             "evaluator.whatif.full_evaluations")
         #: Delta evaluations performed (incremental update()/extend()).
@@ -266,64 +251,50 @@ class ConfigurationEvaluator:
                                       change.affects_index_key)
         # The relevance map is pattern-containment only -- data
         # changes can never stale it.
-        if change.aggregates_changed and not self.use_collection_costing:
-            # Legacy global cost model: moved aggregates stale every
-            # cached cost (the exactness guard).
-            self._query_cache.clear()
-            self._baseline.clear()
-            self._compute_baseline()
-            self._last_stale = None
-        else:
-            stale_ids, unrouted_ids = self._staled_query_ids(change)
-            evict = [key for key in self._query_cache
-                     if key[0] in stale_ids
-                     or (key[0] in unrouted_ids
-                         and any(change.affects_index_key(index_key)
-                                 for index_key in key[1]))]
-            for key in evict:
-                del self._query_cache[key]
-            self._m_rows_preserved.inc(len(self._query_cache))
-            # Baselines are no-index costs: only the query's own
-            # patterns (and, with collection costing, its routing
-            # set) matter.
-            for query in self.queries:
-                if query.query_id in stale_ids:
-                    self._baseline[query.query_id] = self._baseline_cost(query)
-            # The row-reuse gate for delta updates must be wider: a
-            # configured row is also stale when a *relevant index*'s
-            # statistics moved (entry counts / key selectivities are
-            # computed over the index pattern, which may match
-            # changed paths the query's own predicates do not).
-            # Every index that ever contributed to a row is in the
-            # relevance map, so the union over affected known keys
-            # covers all reusable rows exactly.  Routed queries
-            # whose collections the change did not touch are exempt:
-            # their rows price index entries from the routed
-            # synopses only, which the change provably left alone.
-            index_stale = set(stale_ids)
-            for index_key, query_ids in self._relevance.items():
-                if query_ids and change.affects_index_key(index_key):
-                    index_stale.update(
-                        query_id for query_id in query_ids
-                        if query_id in unrouted_ids)
-            self._last_stale = frozenset(index_stale)
+        stale_ids, unrouted_ids = self._staled_query_ids(change)
+        evict = [key for key in self._query_cache
+                 if key[0] in stale_ids
+                 or (key[0] in unrouted_ids
+                     and any(change.affects_index_key(index_key)
+                             for index_key in key[1]))]
+        for key in evict:
+            del self._query_cache[key]
+        self._m_rows_preserved.inc(len(self._query_cache))
+        # Baselines are no-index costs: only the query's own patterns
+        # and its routing set matter.
+        for query in self.queries:
+            if query.query_id in stale_ids:
+                self._baseline[query.query_id] = self._baseline_cost(query)
+        # The row-reuse gate for delta updates must be wider: a
+        # configured row is also stale when a *relevant index*'s
+        # statistics moved (entry counts / key selectivities are
+        # computed over the index pattern, which may match changed
+        # paths the query's own predicates do not).  Every index that
+        # ever contributed to a row is in the relevance map, so the
+        # union over affected known keys covers all reusable rows
+        # exactly.  Routed queries whose collections the change did
+        # not touch are exempt: their rows price index entries from
+        # the routed synopses only, which the change provably left
+        # alone.
+        index_stale = set(stale_ids)
+        for index_key, query_ids in self._relevance.items():
+            if query_ids and change.affects_index_key(index_key):
+                index_stale.update(query_id for query_id in query_ids
+                                   if query_id in unrouted_ids)
+        self._last_stale = frozenset(index_stale)
         return True
 
     def _staled_query_ids(self, change) -> Tuple[FrozenSet[str], FrozenSet[str]]:
         """``(stale ids, unrouted ids)`` for one absorbed data change.
 
-        With collection-scoped costing a query's cached costs are keyed
-        to its routing set's collections: the query is stale only when a
-        routed collection changed or a changed path could move its
-        routing set.  Queries priced globally (no routing -- legacy
-        mode, patterns that can match anywhere, or empty routing sets)
-        are reported in the second set; their rows additionally stale
-        through relevant-index pattern changes.
+        A query's cached costs are keyed to its routing set's
+        collections: the query is stale only when a routed collection
+        changed or a changed path could move its routing set.  Queries
+        priced against the whole database (patterns that can match
+        every collection, or empty routing sets) are reported in the
+        second set; their rows additionally stale through
+        relevant-index pattern changes.
         """
-        if not self.use_collection_costing:
-            every = frozenset(query.query_id for query in self.queries)
-            return (frozenset(query.query_id for query in self.queries
-                              if change.affects_query(query)), every)
         model = self.optimizer.cost_model
         stale: set = set()
         unrouted: set = set()
@@ -376,11 +347,6 @@ class ConfigurationEvaluator:
                 if self._index_relevant_to_query(index, query))
             self._relevance[index.key] = cached
         return cached
-
-    def prime_relevance(self, indexes: Iterable[IndexDefinition]) -> None:
-        """Precompute the relevance map for ``indexes`` in one pass."""
-        for index in indexes:
-            self.relevant_queries(index)
 
     @property
     def relevance_map(self) -> Dict[Tuple[str, str], FrozenSet[str]]:
@@ -451,10 +417,6 @@ class ConfigurationEvaluator:
                                     index_sizes=sizes,
                                     evaluator_epoch=self._epoch)
 
-    def evaluate_single_index(self, index: IndexDefinition) -> ConfigurationBenefit:
-        """Benefit of a configuration containing only ``index``."""
-        return self.evaluate(IndexConfiguration([index]))
-
     def update(self, base: ConfigurationBenefit,
                add: Sequence[IndexDefinition] = (),
                remove: Sequence[IndexDefinition] = ()) -> ConfigurationBenefit:
@@ -466,16 +428,12 @@ class ConfigurationEvaluator:
         reused from ``base``.  The result equals a full
         :meth:`evaluate` of the new configuration exactly (a query's
         cost depends only on its relevant subset of the configuration).
-        With ``use_incremental`` disabled this falls back to the full
-        re-evaluation.
 
         When the database changed since ``base`` was computed, the
-        epoch stamp decides what survives: with fine-grained
-        maintenance and a base from the immediately preceding epoch,
-        only the rows the change staled are re-costed on top of the
-        configuration delta; otherwise (legacy mode, aggregates moved,
-        or an older base) every row is stale and the evaluation is
-        full.
+        epoch stamp decides what survives: with a base from the
+        immediately preceding epoch only the rows the change staled are
+        re-costed on top of the configuration delta; with an older base
+        every row is stale and the evaluation is full.
         """
         self.refresh()
         configuration = base.configuration.copy()
@@ -486,14 +444,10 @@ class ConfigurationEvaluator:
         for definition in add:
             if configuration.add(definition):
                 changed.append(definition)
-        if not self.use_incremental:
-            self._m_full_evaluations.inc()
-            return self._evaluate_now(configuration)
         stale_rows: FrozenSet[str]
         if base.evaluator_epoch == self._epoch:
             stale_rows = frozenset()
-        elif (base.evaluator_epoch == self._epoch - 1
-                and self._last_stale is not None):
+        elif base.evaluator_epoch == self._epoch - 1:
             stale_rows = self._last_stale
         else:
             self._m_full_evaluations.inc()
@@ -526,11 +480,7 @@ class ConfigurationEvaluator:
     def marginal_benefit(self, base: ConfigurationBenefit,
                          index: IndexDefinition) -> float:
         """Benefit gained by adding ``index`` to an already-evaluated config."""
-        if self.use_incremental:
-            return self.extend(base, index).total_benefit - base.total_benefit
-        extended = base.configuration.copy()
-        extended.add(index)
-        return self.evaluate(extended).total_benefit - base.total_benefit
+        return self.extend(base, index).total_benefit - base.total_benefit
 
     # ------------------------------------------------------------------
     def _evaluate_query(self, query: NormalizedQuery,
@@ -570,30 +520,9 @@ class ConfigurationEvaluator:
 
         Restricting evaluation to this subset makes caching effective
         without changing the result (other indexes cannot appear in the
-        query's plan or maintenance list).  The incremental engine
-        answers this from the inverted relevance map (two dict lookups
-        per index); the legacy path re-derives pattern containment per
-        call, as the original evaluator did.
+        query's plan or maintenance list).  Answered from the inverted
+        relevance map (two dict lookups per index).
         """
-        if self.use_incremental:
-            query_id = query.query_id
-            return [index for index in configuration
-                    if query_id in self.relevant_queries(index)]
-        relevant: List[IndexDefinition] = []
-        if query.is_update:
-            for index in configuration:
-                for touched in query.touched_patterns:
-                    if (pattern_contains(touched, index.pattern)
-                            or pattern_contains(index.pattern, touched)):
-                        relevant.append(index)
-                        break
-            return relevant
-        for index in configuration:
-            for predicate in query.predicates:
-                if not predicate.is_existence and \
-                        predicate.value_type is not index.value_type:
-                    continue
-                if pattern_contains(index.pattern, predicate.pattern):
-                    relevant.append(index)
-                    break
-        return relevant
+        query_id = query.query_id
+        return [index for index in configuration
+                if query_id in self.relevant_queries(index)]

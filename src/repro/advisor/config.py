@@ -12,13 +12,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.contracts import escape_hatch
 from repro.optimizer.cost_model import CostParameters
 from repro.storage.pages import PAGE_SIZE_BYTES
-
-escape_hatch("use_incremental",
-             "legacy full re-evaluation instead of the incremental "
-             "what-if engine (relevance map, delta re-costing, lazy-greedy)")
 
 
 class SearchAlgorithm(enum.Enum):
@@ -53,30 +48,6 @@ class AdvisorParameters:
     max_candidates: int = 512
     #: Charge index maintenance cost for update statements in the workload.
     account_for_updates: bool = True
-    #: Evaluate configurations with index interaction (cost the whole
-    #: configuration at once).  Disabling this sums single-index benefits
-    #: instead -- only used by the ablation benchmarks.
-    model_index_interaction: bool = True
-    #: Use the incremental what-if evaluation engine: a precomputed
-    #: index-to-affected-queries relevance map, delta re-costing of only
-    #: the affected queries in :meth:`ConfigurationEvaluator.update`, and
-    #: the lazy-greedy (CELF-style) priority queues in the search
-    #: strategies.  Disabling it restores the legacy full re-evaluation
-    #: everywhere -- the escape hatch the equivalence tests and the E3
-    #: benchmarks compare against.
-    use_incremental: bool = True
-    #: Memoize what-if optimizer plans by (query, index keys, statistics
-    #: signature) on the :class:`~repro.optimizer.optimizer.Optimizer`.
-    enable_plan_cache: bool = True
-    #: Price every workload statement against the merged synopsis of its
-    #: structural *routing set* -- the collections its patterns can
-    #: match -- instead of the whole-database aggregates, and key cached
-    #: per-query costings to the routing set's per-collection data
-    #: versions: a change to one collection then leaves every other
-    #: collection's cached costs and plans valid and byte-exact.
-    #: Disabling it restores the legacy global cost model (on
-    #: single-collection databases the two are byte-identical anyway).
-    use_collection_costing: bool = True
     #: Cost model constants handed to the optimizer.
     cost_parameters: CostParameters = field(default_factory=CostParameters)
 

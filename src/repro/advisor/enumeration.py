@@ -29,8 +29,8 @@ Three strategies are provided (Section 2.3):
 Lazy-greedy evaluation
 ----------------------
 
-With ``AdvisorParameters.use_incremental`` (the default) the two
-iterative strategies run on the evaluator's incremental what-if engine:
+The two iterative strategies run on the evaluator's incremental what-if
+engine:
 
 * :class:`GreedyWithHeuristicsSearch` keeps candidates in a CELF-style
   priority queue ordered by their last-computed benefit/size ratio.
@@ -42,23 +42,22 @@ iterative strategies run on the evaluator's incremental what-if engine:
   selected without touching the other candidates.  Marginal benefits
   are non-increasing as the configuration grows for workload shapes
   without cross-index plan synergy, which makes stale entries upper
-  bounds and the lazy selection identical to the exhaustive rescans of
-  the legacy loop -- the randomized equivalence tests guard this.
+  bounds and the lazy selection identical to an exhaustive rescan of
+  every candidate per step (first maximum ratio wins) -- the
+  randomized tests against ``tests/reference/advisor_reference.py``
+  guard this.
 * :class:`TopDownSearch` keeps replacement victims in a size-ordered
   heap (sizes are immutable per index) and re-costs each
   replace/trim step through the evaluator's delta
   :meth:`~repro.advisor.benefit.ConfigurationEvaluator.update` instead
   of a full workload pass.
-
-``use_incremental=False`` restores the legacy exhaustive loops
-verbatim, which the equivalence tests and benchmarks compare against.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.advisor.benefit import ConfigurationBenefit, ConfigurationEvaluator
 from repro.advisor.candidates import CandidateIndex, CandidateSet
@@ -68,9 +67,7 @@ from repro.index.definition import IndexConfiguration, IndexDefinition
 
 #: Marginal gains at or below this are treated as "no benefit".
 _MIN_GAIN = 1e-9
-#: Benefit/size ratios at or below this floor are never selected (the
-#: legacy scan's ``ratio > best_ratio + 1e-12`` with ``best_ratio``
-#: starting at 0.0).
+#: Benefit/size ratios at or below this floor are never selected.
 _MIN_RATIO = 1e-12
 
 
@@ -129,10 +126,6 @@ class _SearchBase:
         self._evaluations = 0
 
     # -- helpers ---------------------------------------------------------
-    @property
-    def _incremental(self) -> bool:
-        return self.parameters.use_incremental
-
     def _evaluate(self, configuration: IndexConfiguration) -> ConfigurationBenefit:
         self._evaluations += 1
         return self.evaluator.evaluate(configuration)
@@ -208,12 +201,6 @@ class GreedyWithHeuristicsSearch(_SearchBase):
 
     def search(self, candidates: CandidateSet,
                dag: Optional[GeneralizationDag] = None) -> SearchResult:
-        if self._incremental:
-            return self._search_lazy(candidates)
-        return self._search_full(candidates)
-
-    # -- lazy-greedy (CELF-style) -----------------------------------------
-    def _search_lazy(self, candidates: CandidateSet) -> SearchResult:
         trace: List[SearchStep] = []
         configuration = IndexConfiguration(name="greedy-heuristic")
         current = self._evaluate(configuration)
@@ -245,8 +232,8 @@ class GreedyWithHeuristicsSearch(_SearchBase):
         change_version = 0
         query_version: Dict[str, int] = {}
         #: Heap entries: (-ratio, insertion seq, key, gain version).
-        #: Insertion order breaks ties exactly like the legacy
-        #: first-max scan; the version lets superseded duplicates (left
+        #: Insertion order breaks ties exactly like a first-max scan
+        #: over the candidates; the version lets superseded duplicates (left
         #: behind by eager re-evaluation) be discarded on pop.
         heap: List[Tuple[float, int, Tuple[str, str], int]] = []
         #: Entries that did not fit the budget when popped; re-inserted
@@ -308,8 +295,7 @@ class GreedyWithHeuristicsSearch(_SearchBase):
             if gain / max(size, 1.0) <= _MIN_RATIO:
                 # The fresh head's ratio is below the selection floor,
                 # and it bounds every remaining entry's ratio: nothing
-                # left is selectable (mirrors the legacy scan finding no
-                # ratio above ``best_ratio + 1e-12``).
+                # left is selectable.
                 break
             if gain <= _MIN_GAIN:
                 # Ineligible now; only an eager volatile re-evaluation
@@ -378,61 +364,6 @@ class GreedyWithHeuristicsSearch(_SearchBase):
                     parked = []
         return self._result(configuration, trace)
 
-    # -- legacy exhaustive loop -------------------------------------------
-    def _search_full(self, candidates: CandidateSet) -> SearchResult:
-        trace: List[SearchStep] = []
-        remaining: Dict[Tuple[str, str], CandidateIndex] = {
-            c.key: c for c in candidates}
-        configuration = IndexConfiguration(name="greedy-heuristic")
-        current = self._evaluate(configuration)
-        #: The redundancy bitmap: workload predicate patterns already
-        #: covered by some chosen index.
-        covered_predicates: Set[str] = set()
-
-        while remaining:
-            best_key: Optional[Tuple[str, str]] = None
-            best_ratio = 0.0
-            best_gain = 0.0
-            best_definition: Optional[IndexDefinition] = None
-            for key, candidate in remaining.items():
-                definition = self._definition_for(candidate)
-                size = self.evaluator.index_size_bytes(definition)
-                if not self._fits(current.total_size_bytes + size):
-                    continue
-                newly_covered = self._newly_covered(candidate, covered_predicates)
-                if not newly_covered:
-                    # Redundant: every workload pattern it would serve is
-                    # already covered by the chosen configuration.
-                    continue
-                gain = self.evaluator.marginal_benefit(current, definition)
-                self._evaluations += 1
-                if gain <= _MIN_GAIN:
-                    continue
-                ratio = gain / max(size, 1.0)
-                # Strict comparison (first max in iteration order wins
-                # ties) -- the exact semantics of the lazy heap's
-                # (-ratio, insertion seq) ordering, so the two paths
-                # cannot diverge on near-tied ratios.
-                if ratio > best_ratio and ratio > _MIN_RATIO:
-                    best_ratio = ratio
-                    best_gain = gain
-                    best_key = key
-                    best_definition = definition
-            if best_key is None or best_definition is None:
-                break
-            candidate = remaining.pop(best_key)
-            configuration.add(best_definition)
-            current = self._evaluate(configuration)
-            covered_predicates.update(self._covered_patterns(candidate))
-            trace.append(SearchStep("add", candidate.pattern.to_text(),
-                                    f"marginal benefit {best_gain:.1f}, "
-                                    f"ratio {best_ratio:.4f}"))
-            # Reclaim space from indexes that no query plan uses any more.
-            evicted = self._evict_unused(configuration, current, trace)
-            if evicted:
-                current = self._evaluate(configuration)
-        return self._result(configuration, trace)
-
     # -- heuristics -------------------------------------------------------
     def _covered_patterns(self, candidate: CandidateIndex) -> Set[str]:
         return {predicate.pattern.to_text()
@@ -441,19 +372,6 @@ class GreedyWithHeuristicsSearch(_SearchBase):
     def _newly_covered(self, candidate: CandidateIndex,
                        covered: Set[str]) -> Set[str]:
         return self._covered_patterns(candidate) - covered
-
-    def _evict_unused(self, configuration: IndexConfiguration,
-                      current: ConfigurationBenefit,
-                      trace: List[SearchStep]) -> List[IndexDefinition]:
-        """Remove configuration members no query plan uses (space reclaim).
-
-        Returns the evicted definitions (empty list when none)."""
-        evicted: List[IndexDefinition] = []
-        for index in current.unused_indexes:
-            configuration.remove(index)
-            trace.append(SearchStep("evict (unused)", index.pattern.to_text()))
-            evicted.append(index)
-        return evicted
 
 
 class TopDownSearch(_SearchBase):
@@ -499,7 +417,7 @@ class TopDownSearch(_SearchBase):
         max_iterations = 4 * max(1, len(candidates))
         while not self._fits(current.total_size_bytes) and guard < max_iterations:
             guard += 1
-            victim = self._pick_victim(members, current, victim_heap)
+            victim = self._pick_victim(members, victim_heap)
             if victim is None:
                 break
             victim_definition = self._definition_for(victim)
@@ -523,14 +441,11 @@ class TopDownSearch(_SearchBase):
             else:
                 trace.append(SearchStep("drop (leaf over budget)",
                                         victim.pattern.to_text()))
-            if self._incremental:
-                current = self._update(current, add=added_definitions,
-                                       remove=[victim_definition])
+            current = self._update(current, add=added_definitions,
+                                   remove=[victim_definition])
             configuration.remove(victim_definition)
             for definition in added_definitions:
                 configuration.add(definition)
-            if not self._incremental:
-                current = self._evaluate(configuration)
 
         # Final trim: if still over budget (e.g. even leaves do not fit),
         # drop the smallest-benefit members until it fits.
@@ -540,38 +455,23 @@ class TopDownSearch(_SearchBase):
                 break
             members.pop(worst.key, None)
             trace.append(SearchStep("drop (budget trim)", worst.pattern.to_text()))
-            if self._incremental:
-                current = self._update(current, remove=[worst])
+            current = self._update(current, remove=[worst])
             configuration.remove(worst)
-            if not self._incremental:
-                current = self._evaluate(configuration)
         return self._result(configuration, trace)
 
     # -- victim selection ---------------------------------------------------
-    def _pick_victim(self, members: Dict[Tuple[str, str], CandidateIndex],
-                     current: ConfigurationBenefit,
-                     victim_heap: Optional[List[Tuple[float, int, Tuple[str, str]]]]
-                     = None) -> Optional[CandidateIndex]:
+    @staticmethod
+    def _pick_victim(members: Dict[Tuple[str, str], CandidateIndex],
+                     victim_heap: List[Tuple[float, int, Tuple[str, str]]]
+                     ) -> Optional[CandidateIndex]:
         """The member whose replacement frees the most space: the largest
-        index, breaking ties toward the least-generality loss (fewest
-        benefiting queries)."""
-        if self._incremental and victim_heap is not None:
-            while victim_heap:
-                _, _, key = heapq.heappop(victim_heap)
-                candidate = members.get(key)
-                if candidate is not None:
-                    return candidate
-            return None
-        victim: Optional[CandidateIndex] = None
-        victim_size = -1.0
-        for key, candidate in members.items():
-            size = current.index_sizes.get(key)
-            if size is None:
-                size = self.evaluator.index_size_bytes(self._definition_for(candidate))
-            if size > victim_size:
-                victim_size = size
-                victim = candidate
-        return victim
+        index, ties to the earliest admitted."""
+        while victim_heap:
+            _, _, key = heapq.heappop(victim_heap)
+            candidate = members.get(key)
+            if candidate is not None:
+                return candidate
+        return None
 
     def _least_valuable(self, configuration: IndexConfiguration,
                         current: ConfigurationBenefit) -> Optional[IndexDefinition]:

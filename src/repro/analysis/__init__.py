@@ -6,14 +6,14 @@ the contracts declared through :mod:`repro.contracts`:
 * :mod:`repro.analysis.core` -- parsed-file model, ``# contract:
   allow[...]`` suppressions, and the *static* extraction of contract
   declarations (``@snapshot_contract``, ``@cache_contract``,
-  ``@builder``, ``escape_hatch(...)``, ``deterministic_package(...)``,
+  ``@builder``, ``deterministic_package(...)``,
   ``injection_site(...)``, ``observe_only_package(...)``,
   ``wall_clock_module(...)``) straight out of the source -- analyzed
   trees are never imported.
-* :mod:`repro.analysis.checkers` -- the six contract checkers:
-  snapshot-immutability, cache-invalidation, escape-hatch parity,
-  determinism (including wall-clock confinement), fault coverage and
-  the observe-only telemetry contract.
+* :mod:`repro.analysis.checkers` -- the five contract checkers:
+  snapshot-immutability, cache-invalidation, determinism (including
+  wall-clock confinement), fault coverage and the observe-only
+  telemetry contract.
 * :mod:`repro.analysis.runner` -- file discovery and orchestration.
 * :mod:`repro.analysis.reporters` -- text and JSON diagnostics output.
 

@@ -1,4 +1,4 @@
-"""The six contract checkers.
+"""The five contract checkers.
 
 Each checker exposes ``name`` plus ``check_file(parsed, context)`` and
 ``check_project(context)`` iterators of
@@ -9,7 +9,6 @@ registry the runner and the CLI iterate.
 from repro.analysis.checkers.caches import CacheInvalidationChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.faults import FaultCoverageChecker
-from repro.analysis.checkers.hatches import EscapeHatchChecker
 from repro.analysis.checkers.snapshots import SnapshotImmutabilityChecker
 from repro.analysis.checkers.telemetry import TelemetryChecker
 
@@ -17,7 +16,6 @@ from repro.analysis.checkers.telemetry import TelemetryChecker
 ALL_CHECKERS = (
     SnapshotImmutabilityChecker(),
     CacheInvalidationChecker(),
-    EscapeHatchChecker(),
     DeterminismChecker(),
     FaultCoverageChecker(),
     TelemetryChecker(),
@@ -27,7 +25,6 @@ __all__ = [
     "ALL_CHECKERS",
     "CacheInvalidationChecker",
     "DeterminismChecker",
-    "EscapeHatchChecker",
     "FaultCoverageChecker",
     "SnapshotImmutabilityChecker",
     "TelemetryChecker",

@@ -27,7 +27,6 @@ __all__ = [
     "ParsedFile",
     "SnapshotDecl",
     "CacheDecl",
-    "HatchDecl",
     "SiteDecl",
     "AnalysisContext",
     "parse_file",
@@ -102,16 +101,6 @@ class CacheDecl:
 
 
 @dataclass(frozen=True)
-class HatchDecl:
-    """An ``escape_hatch("use_*")`` declaration found in the tree."""
-
-    name: str
-    module: str
-    path: str
-    line: int
-
-
-@dataclass(frozen=True)
 class SiteDecl:
     """An ``injection_site("...")`` declaration found in the tree."""
 
@@ -133,7 +122,6 @@ class AnalysisContext:
     #: ``(module, qualname)`` of every ``@builder`` function.
     builder_functions: Set[Tuple[str, str]] = field(default_factory=set)
     caches: List[CacheDecl] = field(default_factory=list)
-    hatches: List[HatchDecl] = field(default_factory=list)
     #: fault-injection site name -> declaration.
     sites: Dict[str, SiteDecl] = field(default_factory=dict)
     deterministic_packages: List[str] = field(default_factory=list)
@@ -143,7 +131,6 @@ class AnalysisContext:
     #: ``wall_clock_module("...")`` declarations: the only modules in
     #: their top-level trees allowed to read ``time.*`` clocks.
     wall_clock_modules: List[str] = field(default_factory=list)
-    tests_dir: Optional[Path] = None
     #: Filled in by the runner: final, sorted, suppression-filtered.
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
@@ -302,18 +289,11 @@ class _RegistrationCollector(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         name = call_name(node)
-        if name in ("escape_hatch", "deterministic_package",
-                    "injection_site", "observe_only_package",
-                    "wall_clock_module") and node.args:
+        if name in ("deterministic_package", "injection_site",
+                    "observe_only_package", "wall_clock_module") and node.args:
             first = node.args[0]
             if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                if name == "escape_hatch":
-                    self.context.hatches.append(HatchDecl(
-                        name=first.value,
-                        module=self.parsed.module,
-                        path=str(self.parsed.path),
-                        line=node.lineno))
-                elif name == "injection_site":
+                if name == "injection_site":
                     self.context.sites.setdefault(first.value, SiteDecl(
                         name=first.value,
                         module=self.parsed.module,

@@ -28,20 +28,13 @@ from repro.analysis.core import (
     parse_file,
 )
 
-__all__ = ["analyze_paths", "default_source_root", "default_tests_dir"]
+__all__ = ["analyze_paths", "default_source_root"]
 
 
 def default_source_root() -> Path:
     """The installed ``repro`` package's source directory."""
     import repro
     return Path(repro.__file__).resolve().parent
-
-
-def default_tests_dir() -> Optional[Path]:
-    """``tests/`` next to the source tree (``src/../tests``), if it
-    exists."""
-    candidate = default_source_root().parent.parent / "tests"
-    return candidate if candidate.is_dir() else None
 
 
 def _discover(paths: Sequence[Path]) -> List[Path]:
@@ -64,7 +57,6 @@ def _discover(paths: Sequence[Path]) -> List[Path]:
 
 
 def analyze_paths(paths: Optional[Sequence[Path]] = None,
-                  tests_dir: Optional[Path] = None,
                   checkers: Optional[Iterable[object]] = None) \
         -> AnalysisContext:
     """Run the contract analyzer; diagnostics land on the returned
@@ -72,9 +64,7 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
     """
     if paths is None:
         paths = [default_source_root()]
-    if tests_dir is None:
-        tests_dir = default_tests_dir()
-    context = AnalysisContext(tests_dir=tests_dir)
+    context = AnalysisContext()
 
     parsed_files: List[ParsedFile] = []
     for path in _discover(list(paths)):

@@ -3,8 +3,7 @@
 The repository's performance work rests on a handful of invariants that
 used to live only in ROADMAP.md prose: snapshot objects are immutable
 once built, memoized state is only read behind a revalidation point,
-every ``use_*`` escape hatch keeps two live code paths, and the tuning
-subsystem never touches the wall clock.  This module turns those
+and the tuning subsystem never touches the wall clock.  This module turns those
 invariants into *declarations that live next to the code they govern*:
 
 * :func:`snapshot_contract` -- registers a class as a snapshot and
@@ -16,8 +15,6 @@ invariants into *declarations that live next to the code they govern*:
   snapshot instances may still be assembled.
 * :func:`cache_contract` -- declares a class's memo attributes and the
   invalidation discipline each one follows (see :data:`MemoPolicy`).
-* :func:`escape_hatch` -- declares a ``use_*`` compatibility flag that
-  must branch to two live code paths and be exercised by tests.
 * :func:`deterministic_package` -- declares a package in which wall
   clocks, unseeded randomness and unsorted set iteration are forbidden.
 * :func:`injection_site` -- declares a named fault-injection site: a
@@ -73,7 +70,6 @@ __all__ = [
     "snapshot_contract",
     "cache_contract",
     "builder",
-    "escape_hatch",
     "deterministic_package",
     "injection_site",
     "observe_only_package",
@@ -118,7 +114,6 @@ class ContractRegistry:
         field(default_factory=dict)
     caches: Dict[Tuple[str, str], Mapping[str, Mapping[str, Any]]] = \
         field(default_factory=dict)
-    escape_hatches: Dict[str, str] = field(default_factory=dict)
     deterministic_packages: Tuple[str, ...] = ()
     injection_sites: Dict[str, str] = field(default_factory=dict)
     observe_only_packages: Dict[str, str] = field(default_factory=dict)
@@ -284,18 +279,6 @@ def builder(func: Callable[..., Any]) -> Callable[..., Any]:
     if not FREEZE_SNAPSHOTS:
         return func
     return _wrap_build_phase(func)
-
-
-def escape_hatch(name: str, description: str = "") -> str:
-    """Declare a ``use_*`` compatibility flag.
-
-    The escape-hatch checker verifies the flag branches to two live
-    code paths somewhere in the tree and is referenced by at least one
-    test under ``tests/``.  Returns ``name`` so the call can double as
-    a constant definition.
-    """
-    REGISTRY.escape_hatches[name] = description
-    return name
 
 
 def deterministic_package(name: str) -> str:

@@ -66,7 +66,7 @@ from typing import (
     Union,
 )
 
-from repro.contracts import cache_contract, escape_hatch
+from repro.contracts import cache_contract
 from repro.faults import FaultError, guarded_fault_point
 from repro.index.definition import IndexConfiguration, IndexDefinition
 from repro.index.physical import PhysicalPathIndex, build_physical_index
@@ -93,10 +93,6 @@ from repro.xquery.normalizer import normalize_statement
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.tuning.monitor import WorkloadMonitor
-
-escape_hatch("use_columnar",
-             "evaluate per document with the interpreter instead of the "
-             "columnar store's set-at-a-time engine")
 
 #: Fixed bucket bounds (seconds) for the per-query wall-clock latency
 #: histogram -- literal by the telemetry contract (no data-dependent

@@ -14,8 +14,6 @@ are packed into pages at a B-tree fill factor.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.index.definition import IndexDefinition
 from repro.storage import pages
 from repro.storage.statistics import DatabaseStatistics
@@ -75,11 +73,6 @@ def estimate_index_pages(index: IndexDefinition,
                          statistics: DatabaseStatistics) -> int:
     """Estimated on-disk size of the index, in pages."""
     return pages.bytes_to_pages(estimate_index_size_bytes(index, statistics))
-
-
-def estimate_configuration_size_bytes(indexes, statistics: DatabaseStatistics) -> float:
-    """Total estimated size of a set of index definitions, in bytes."""
-    return sum(estimate_index_size_bytes(index, statistics) for index in indexes)
 
 
 def carry_over_size_estimates(old_statistics: DatabaseStatistics,

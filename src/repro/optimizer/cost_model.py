@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.contracts import cache_contract, snapshot_contract
 from repro.index.definition import IndexDefinition
@@ -36,9 +36,8 @@ from repro.xquery.model import NormalizedQuery, PathPredicate
 
 #: A routing set: the collections a query's structural patterns can
 #: match, sorted.  ``None`` stands for "every collection" -- used when
-#: collection-scoped costing is disabled, when the statistics carry no
-#: per-collection sub-synopses, or when a query's patterns genuinely
-#: cover every collection.  Read patterns are matched with the
+#: the statistics carry no per-collection sub-synopses, or when a
+#: query's patterns genuinely cover every collection.  Read patterns are matched with the
 #: interpreter's descendant-or-self semantics
 #: (:meth:`~repro.xpath.patterns.PathPattern.matches_evaluator`), so
 #: ``//`` shapes never widen the set.
@@ -76,23 +75,19 @@ class CostParameters:
 class CostModel:
     """Statistics-driven cost estimation for plans and index maintenance.
 
-    With ``use_collection_costing`` (the default) every cost term is
-    computed against the merged synopsis of the query's *routing set* --
-    the collections whose path synopsis can match the query's
-    patterns (:meth:`routing_set` / :meth:`scoped`) -- instead of the
-    whole-database aggregates.  On a single-collection database (or when
-    a query routes to every collection) the scoped synopsis *is* the
-    whole-database synopsis, so the model reduces to the legacy one
-    byte-identically; ``use_collection_costing=False`` forces the legacy
-    whole-database model everywhere.
+    Every cost term of a query is computed against the merged synopsis
+    of its *routing set* -- the collections whose path synopsis can
+    match the query's patterns (:meth:`for_query`) -- instead of the
+    whole-database aggregates: a query routed to collections *S* costs
+    exactly what it costs on a database holding only *S*.  On a
+    single-collection database (or when a query routes to every
+    collection) the scoped synopsis *is* the whole-database synopsis.
     """
 
     def __init__(self, statistics: DatabaseStatistics,
-                 parameters: Optional[CostParameters] = None,
-                 use_collection_costing: bool = True) -> None:
+                 parameters: Optional[CostParameters] = None) -> None:
         self.statistics = statistics
         self.parameters = parameters or CostParameters()
-        self.use_collection_costing = use_collection_costing
         #: Memo of routing set -> scoped CostModel (shares parameters).
         self._scoped: Dict[Tuple[str, ...], "CostModel"] = {}
         #: Memo of read pattern -> matching collections.
@@ -129,8 +124,6 @@ class CostModel:
         *union* of their pattern matches.  An empty tuple means the
         query provably matches nothing anywhere.
         """
-        if not self.use_collection_costing:
-            return None
         names = self.statistics.collection_stats
         if not names:
             return None
@@ -168,10 +161,10 @@ class CostModel:
 
         ``None`` (all collections), full coverage, and the empty set all
         return ``self`` -- an empty routing set is priced against the
-        whole database, which keeps the model byte-identical to the
-        legacy one on single-collection databases in every case.
+        whole database.  A scoped model is only ever asked for costs,
+        never to route again.
         """
-        if routing is None or not routing or not self.use_collection_costing:
+        if not routing:
             return self
         names = self.statistics.collection_stats
         if not names or len(routing) >= len(names):
@@ -179,7 +172,7 @@ class CostModel:
         cached = self._scoped.get(routing)
         if cached is None:
             cached = CostModel(self.statistics.merged_over(routing),
-                               self.parameters, use_collection_costing=False)
+                               self.parameters)
             self._scoped[routing] = cached
         return cached
 

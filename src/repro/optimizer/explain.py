@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.index.definition import IndexConfiguration, IndexDefinition
 from repro.index.matching import index_matches_predicate
@@ -77,10 +77,6 @@ class EnumerateIndexesResult:
     cost_with_universal_indexes: float = 0.0
     #: Cost of the query with no indexes at all (document scan).
     cost_without_indexes: float = 0.0
-
-    @property
-    def candidate_patterns(self) -> List[PathPattern]:
-        return [candidate.pattern for candidate in self.candidates]
 
     def render(self) -> str:
         lines = [f"ENUMERATE INDEXES for {self.query.query_id}:",

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.contracts import cache_contract, escape_hatch
+from repro.contracts import cache_contract
 from repro.index.definition import IndexDefinition
-from repro.index.matching import IndexMatch, usable_indexes
+from repro.index.matching import usable_indexes
 from repro.optimizer.cost_model import CostModel, CostParameters, RoutingSet
 from repro.optimizer.plans import (
     DocumentScan,
@@ -48,11 +48,6 @@ _MAX_USEFUL_LEG_SELECTIVITY = 0.9
 #: the set of index keys visible to the planner).
 _PlanKey = Tuple[str, str, FrozenSet[Tuple[str, str]]]
 
-#: Collection-scoped costing and routed plan invalidation; ``False``
-#: restores the legacy whole-database cost model.
-escape_hatch("use_collection_costing")
-
-
 @cache_contract(memos={
     "_plan_cache": {"policy": "revalidate",
                     "revalidators": ("_plan_cache_key",
@@ -72,30 +67,21 @@ escape_hatch("use_collection_costing")
 class Optimizer:
     """Cost-based plan selection over a database's catalog and statistics.
 
-    When ``enable_plan_cache`` is True (the default), planning calls made
-    with an *explicit* candidate index list -- the what-if calls issued by
-    the Evaluate Indexes mode and the advisor's benefit evaluator -- are
-    memoized by ``(query_id, query text, relevant index keys)`` and
-    revalidated against the database's
+    Planning calls made with an *explicit* candidate index list -- the
+    what-if calls issued by the Evaluate Indexes mode and the advisor's
+    benefit evaluator -- are memoized by ``(query_id, query text,
+    relevant index keys)`` and revalidated against the database's
     :meth:`~repro.storage.document_store.XmlDatabase.data_signature`.
     Catalog-defaulted calls (``candidate_indexes=None``) are never cached,
     because catalog contents can change without the data signature moving.
 
     Invalidation is *collection-scoped*: a signature move is diffed by
     a :class:`~repro.storage.maintenance.DataChangeTracker`, and only the
-    cached plans whose statistics inputs actually changed are evicted --
-    plans whose query patterns and candidate index patterns touch no
-    changed path survive.  With ``use_collection_costing`` (the
-    default) each cached plan is additionally keyed to its recorded
-    routing set: a plan is priced only against the synopses of the
-    collections its query can touch, so a change confined to *other*
+    cached plans whose statistics inputs actually changed are evicted.
+    Each plan is priced only against the synopses of the collections in
+    its recorded routing set, so a change confined to *other*
     collections leaves it byte-exact and cached even when the
-    whole-database aggregates moved.  With the legacy global model
-    (``use_collection_costing=False``) any aggregates change still
-    drops the cache wholesale (the exactness guard), and the
-    fine-grained path pays off only for signature churn that leaves
-    the synopsis intact (RUNSTATS, empty-collection DDL, net-zero
-    batches).
+    whole-database aggregates moved.
 
     :attr:`plan_calls` counts plans actually computed and
     :attr:`plan_cache_hits` counts calls served from the cache; the
@@ -104,19 +90,9 @@ class Optimizer:
 
     def __init__(self, database: XmlDatabase,
                  parameters: Optional[CostParameters] = None,
-                 enable_plan_cache: bool = True,
-                 use_collection_costing: bool = True,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.database = database
         self.parameters = parameters
-        self.enable_plan_cache = enable_plan_cache
-        #: Price every query against the merged synopsis of its routing
-        #: set (the collections its patterns can match) instead of the
-        #: whole-database aggregates, and revalidate cached plans
-        #: against only those collections' data versions.  ``False``
-        #: restores the legacy global cost model and the aggregates
-        #: cache guard (the escape hatch the equivalence tests use).
-        self.use_collection_costing = use_collection_costing
         self._cost_model: Optional[CostModel] = None
         self._statistics_token: Optional[int] = None
         #: Instance-scoped metrics registry (telemetry plane); the
@@ -194,14 +170,12 @@ class Optimizer:
     # ------------------------------------------------------------------
     def _plan_cache_key(self, query: NormalizedQuery,
                         indexes: Sequence[IndexDefinition]
-                        ) -> Optional[_PlanKey]:
-        """The cache key for this call, or None when caching is off.
+                        ) -> _PlanKey:
+        """The cache key for this call.
 
         Also revalidates the cached entries against the database's data
         signature.
         """
-        if not self.enable_plan_cache:
-            return None
         self._revalidate_plan_cache()
         return (query.query_id, query.text,
                 frozenset(index.key for index in indexes))
@@ -214,8 +188,7 @@ class Optimizer:
         if self._tracker is not None \
                 and self._plan_cache_signature is not None:
             change = self._tracker.poll()
-        if change is not None and (self.use_collection_costing
-                                   or not change.aggregates_changed):
+        if change is not None:
             self._evict_affected_plans(change)
         else:
             if self._plan_cache or self._update_plan_cache:
@@ -229,36 +202,27 @@ class Optimizer:
     def _evict_affected_plans(self, change: DataChange) -> None:
         """Drop exactly the cached plans whose statistics inputs moved.
 
-        With collection-scoped costing a plan's cost is a function of
-        its routing set's synopses only, so a plan survives whenever no
-        routed collection changed, no changed path can alter the
-        query's routing set, and no candidate index pattern in the
-        cache key saw different statistics *within a changed
-        collection* -- a change confined to other collections leaves
-        the plan byte-exact even when the whole-database aggregates
-        moved.  (Unused candidate indexes count too: one may become the
-        winner once its statistics change.)  With the legacy model the
-        aggregates guard has already forced a flush before this runs,
-        and eviction falls back to the pattern-level rule.
+        A plan's cost is a function of its routing set's synopses only,
+        so a plan survives whenever no routed collection changed, no
+        changed path can alter the query's routing set, and -- for
+        plans priced against the whole database -- no candidate index
+        pattern in the cache key saw different statistics.  (Unused
+        candidate indexes count too: one may become the winner once its
+        statistics change.)
         """
         for cache in (self._plan_cache, self._update_plan_cache):
             stale = []
             for key, plan in cache.items():
-                if self.use_collection_costing:
-                    if change.stales_routed_query(plan.query, plan.routing):
-                        stale.append(key)
-                    elif not plan.routing and any(
-                            change.affects_index_key(index_key)
-                            for index_key in key[2]):
-                        # Unrouted plans are priced globally, so any
-                        # candidate index whose statistics moved stales
-                        # them; routed survivors already proved the
-                        # changed collections disjoint from their
-                        # routing set, which bounds the candidates too.
-                        stale.append(key)
-                elif change.affects_query(plan.query) \
-                        or any(change.affects_index_key(index_key)
-                               for index_key in key[2]):
+                if change.stales_routed_query(plan.query, plan.routing):
+                    stale.append(key)
+                elif not plan.routing and any(
+                        change.affects_index_key(index_key)
+                        for index_key in key[2]):
+                    # Unrouted plans are priced globally, so any
+                    # candidate index whose statistics moved stales
+                    # them; routed survivors already proved the
+                    # changed collections disjoint from their routing
+                    # set, which bounds the candidates too.
                     stale.append(key)
             for key in stale:
                 del cache[key]
@@ -279,9 +243,7 @@ class Optimizer:
         statistics = self.database.statistics
         token = id(statistics)
         if self._cost_model is None or self._statistics_token != token:
-            self._cost_model = CostModel(
-                statistics, self.parameters,
-                use_collection_costing=self.use_collection_costing)
+            self._cost_model = CostModel(statistics, self.parameters)
             self._statistics_token = token
         return self._cost_model
 

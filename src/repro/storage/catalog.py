@@ -245,9 +245,6 @@ class Catalog:
     def is_quarantined(self, key: IndexKey) -> bool:
         return key in self._quarantined
 
-    def clear_quarantine(self, key: IndexKey) -> None:
-        self._quarantined.pop(key, None)
-
     @property
     def quarantined_keys(self) -> List[IndexKey]:
         return sorted(self._quarantined)

@@ -31,22 +31,19 @@ global cache flush:
   cached plans and per-query costings are evicted selectively instead of
   wholesale.
 
-Exactness contract: with the collection-scoped cost model (the
-default) a cached plan or costing depends only on the synopses of its
-*routing set* -- the collections the query's patterns can match -- so
-it is stale exactly when a routed collection changed or a changed path
-could move the routing set itself (:meth:`DataChange.stales_routed_query`);
-a change confined to other collections leaves it byte-exact even when
-the whole-database aggregates moved.  Under the legacy global model
-(``use_collection_costing=False``) every query is priced against
-whole-database aggregates, so whenever those move, every cached cost
-is stale and :attr:`DataChange.aggregates_changed` forces a full
-re-cost -- the fine-grained path then only retains state that is
-provably unchanged (pattern-relevance maps, plans and costings whose
-statistics inputs did not move: signature churn from RUNSTATS,
-empty-collection DDL, or net-zero batches).  Derived state maintained
-through deltas, by contrast, is byte-identical to a rebuild by
-construction, which the randomized equivalence tests assert.
+Exactness contract: a cached plan or costing depends only on the
+synopses of its *routing set* -- the collections the query's patterns
+can match -- so it is stale exactly when a routed collection changed or
+a changed path could move the routing set itself
+(:meth:`DataChange.stales_routed_query`); a change confined to other
+collections leaves it byte-exact even when the whole-database
+aggregates moved.  Entries priced against the whole database (no
+routing) are stale whenever :attr:`DataChange.aggregates_changed`.
+Everything else the fine-grained path keeps is provably unchanged
+(pattern-relevance maps, plans and costings whose statistics inputs did
+not move).  Derived state maintained through deltas, by contrast, is
+byte-identical to a rebuild by construction, which the randomized
+equivalence tests assert.
 """
 
 from __future__ import annotations
@@ -124,10 +121,6 @@ class CollectionDelta:
     def is_add(self) -> bool:
         return self.kind == ADD
 
-    @property
-    def is_remove(self) -> bool:
-        return self.kind == REMOVE
-
 
 def compute_document_delta(document: DocumentNode,
                            doc_key: Optional[int] = None) -> DocumentDelta:
@@ -204,9 +197,9 @@ class DeltaLog:
 # Database-level change tracking (optimizer / advisor invalidation)
 # ----------------------------------------------------------------------
 
-#: Whole-database aggregates every query cost depends on (the cost
-#: model's data pages, node counts and document counts all derive from
-#: these).  When they move, no cached cost is trustworthy.
+#: Whole-database aggregates every unrouted query cost depends on (the
+#: cost model's data pages, node counts and document counts all derive
+#: from these).  When they move, no globally priced cost is trustworthy.
 _Aggregates = Tuple[int, int, int, int]
 
 
@@ -230,8 +223,8 @@ class DataChange:
     #: Distinct simple paths whose per-path statistics changed in any
     #: changed collection (including paths that appeared or vanished).
     changed_paths: FrozenSet[str]
-    #: True when the whole-database aggregates moved -- every cached
-    #: cost is then stale (the cost model is global).
+    #: True when the whole-database aggregates moved -- every cost
+    #: priced against the whole database is then stale.
     aggregates_changed: bool
     #: Merged statistics before/after the change (for size-estimate
     #: carry-over); ``None`` when the tracker did not capture them.
@@ -254,11 +247,12 @@ class DataChange:
         return self.affects_pattern(pattern_for_key(key[0]))
 
     def affects_query(self, query: "NormalizedQuery") -> bool:
-        """Could ``query``'s cost have changed (aggregates aside)?
+        """Could ``query``'s whole-database cost have changed?
 
-        True when any of its predicate patterns -- or, for updates, any
-        touched pattern -- matches a changed path.  Extraction paths
-        only enter costs as a count, so they cannot make a query stale.
+        True when the aggregates moved or any of its predicate patterns
+        -- or, for updates, any touched pattern -- matches a changed
+        path.  Extraction paths only enter costs as a count, so they
+        cannot make a query stale.
         """
         if self.aggregates_changed:
             return True
@@ -276,8 +270,8 @@ class DataChange:
         set, or the per-path statistics its routed cost reads?
 
         Unlike :meth:`affects_query` there is no whole-database
-        aggregates shortcut: with collection-scoped costing a query's
-        cost depends only on the synopses of its routed collections.
+        aggregates shortcut: a routed query's cost depends only on the
+        synopses of its routed collections.
         A collection *enters* a routing set only by gaining a path one
         of the query's routing patterns matches -- which is exactly a
         changed path this test sees.

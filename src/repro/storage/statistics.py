@@ -42,7 +42,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -102,10 +101,6 @@ class PathStatistics:
     numeric_count: int = 0
     min_value: Optional[float] = None
     max_value: Optional[float] = None
-
-    @property
-    def is_attribute_path(self) -> bool:
-        return "/@" in self.path
 
     @property
     def average_value_bytes(self) -> float:

@@ -22,9 +22,8 @@ Sub-commands mirror the demonstration's flow:
   executor and export the metrics registry as deterministic JSON or
   Prometheus text;
 * ``lint`` -- run the contract analyzer (see :mod:`repro.analysis`) over
-  the source tree: snapshot immutability, cache invalidation, escape
-  hatch parity, determinism, fault coverage and the observe-only
-  telemetry contract.  Exits non-zero on violations (the CI gate).
+  the source tree: snapshot immutability, cache invalidation,
+  determinism, fault coverage and the observe-only telemetry contract.  Exits non-zero on violations (the CI gate).
 
 Example::
 
@@ -186,16 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = subparsers.add_parser(
         "lint", help="statically check the contract annotations "
                      "(snapshot immutability, cache invalidation, "
-                     "escape hatches, determinism)")
+                     "determinism, fault coverage, telemetry)")
     lint_parser.add_argument("--format", choices=("text", "json"),
                              default="text", dest="output_format",
                              help="diagnostic output format")
     lint_parser.add_argument("--path", action="append", default=None,
                              help="file or directory to analyze (repeatable; "
                                   "default: the installed repro package)")
-    lint_parser.add_argument("--tests-dir", default=None,
-                             help="test corpus consulted by the escape-hatch "
-                                  "checker (default: tests/ next to src/)")
     return parser
 
 
@@ -401,8 +397,7 @@ def _command_lint(args: argparse.Namespace) -> int:
     from repro.analysis import analyze_paths, render_json, render_text
 
     paths = [Path(p) for p in args.path] if args.path else None
-    tests_dir = Path(args.tests_dir) if args.tests_dir else None
-    context = analyze_paths(paths=paths, tests_dir=tests_dir)
+    context = analyze_paths(paths=paths)
     if args.output_format == "json":
         print(render_json(context.diagnostics, len(context.files)))
     else:

@@ -30,7 +30,7 @@ from typing import List, Sequence, Tuple
 
 from repro.executor.executor import QueryExecutor
 from repro.telemetry import wall_clock
-from repro.tools.routing_compare import build_coresident_database
+from repro.workloads.coresident import build_coresident_database
 from repro.xquery.model import NormalizedQuery
 from repro.xquery.normalizer import normalize_statement
 

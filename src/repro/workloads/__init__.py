@@ -16,6 +16,9 @@ with the same schema shape, value skew, and path diversity:
   and customer accounts, plus a SQL/XML + XQuery transaction-processing
   query mix and an update workload (inserts / deletes / value replaces)
   for the update-cost experiments.
+* :mod:`repro.workloads.coresident` -- XMark and TPoX loaded side by
+  side into one database, with their merged read workload (the routing
+  and telemetry comparisons).
 * :mod:`repro.workloads.synthetic` -- random path workloads over an
   arbitrary database, used by the scalability benchmarks.
 * :mod:`repro.workloads.loader` -- convenience builders that return
@@ -23,6 +26,7 @@ with the same schema shape, value skew, and path diversity:
   and the CLI.
 """
 
+from repro.workloads.coresident import build_coresident_database, combined_workload
 from repro.workloads.loader import build_scenario, list_scenarios
 from repro.workloads.synthetic import SyntheticWorkloadGenerator
 from repro.workloads.tpox import (
@@ -43,7 +47,9 @@ __all__ = [
     "SyntheticWorkloadGenerator",
     "TpoxConfig",
     "XMarkConfig",
+    "build_coresident_database",
     "build_scenario",
+    "combined_workload",
     "generate_tpox_database",
     "generate_xmark_database",
     "list_scenarios",

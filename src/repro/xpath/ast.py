@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 
 class Axis(enum.Enum):
@@ -56,11 +56,6 @@ class BinaryOp(enum.Enum):
     OR = "or"
 
     @property
-    def is_comparison(self) -> bool:
-        return self in (BinaryOp.EQ, BinaryOp.NE, BinaryOp.LT,
-                        BinaryOp.LE, BinaryOp.GT, BinaryOp.GE)
-
-    @property
     def is_range(self) -> bool:
         """True for operators that need a range scan rather than a point probe."""
         return self in (BinaryOp.LT, BinaryOp.LE, BinaryOp.GT, BinaryOp.GE)
@@ -79,10 +74,6 @@ class Literal(PathExpr):
     """A string or numeric literal."""
 
     value: Union[str, float]
-
-    @property
-    def is_numeric(self) -> bool:
-        return isinstance(self.value, float)
 
     def to_xpath(self) -> str:
         if isinstance(self.value, float):

@@ -26,6 +26,12 @@ from repro.xpath.ast import (
 )
 from repro.xpath.errors import XPathParseError
 
+#: Deepest nesting of parentheses, function-call argument lists and
+#: predicates the parser accepts.  The grammar recurses a few frames per
+#: level, so without a limit a deep statement ends in a bare
+#: ``RecursionError`` instead of a parse error with an offset.
+MAX_NESTING = 64
+
 
 class _TokenKind(enum.Enum):
     SLASH = "/"
@@ -106,6 +112,7 @@ class _Parser:
         self._expression = expression
         self._tokens = _tokenize(expression)
         self._index = 0
+        self._depth = 0
 
     # -- token helpers -------------------------------------------------
     def _peek(self, offset: int = 0) -> _Token:
@@ -125,6 +132,20 @@ class _Parser:
                 f"expected {kind.value!r}, found {token.text!r}",
                 self._expression, token.position)
         return token
+
+    def _open(self, kind: _TokenKind) -> None:
+        """Consume an opening bracket, one nesting level deeper."""
+        token = self._expect(kind)
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise XPathParseError(
+                f"nesting deeper than {MAX_NESTING} levels of parentheses, "
+                "calls and predicates; flatten the expression",
+                self._expression, token.position)
+
+    def _close(self, kind: _TokenKind) -> None:
+        self._expect(kind)
+        self._depth -= 1
 
     def _error(self, message: str) -> XPathParseError:
         token = self._peek()
@@ -175,9 +196,9 @@ class _Parser:
                 raise XPathParseError(f"malformed number {token.text!r}",
                                       self._expression, token.position) from None
         if token.kind is _TokenKind.LPAREN:
-            self._next()
+            self._open(_TokenKind.LPAREN)
             inner = self._parse_or_expr()
-            self._expect(_TokenKind.RPAREN)
+            self._close(_TokenKind.RPAREN)
             return inner
         if (token.kind is _TokenKind.NAME
                 and self._peek(1).kind is _TokenKind.LPAREN
@@ -192,14 +213,14 @@ class _Parser:
 
     def _parse_function_call(self) -> FunctionCall:
         name = self._expect(_TokenKind.NAME).text
-        self._expect(_TokenKind.LPAREN)
+        self._open(_TokenKind.LPAREN)
         arguments: List[PathExpr] = []
         if self._peek().kind is not _TokenKind.RPAREN:
             arguments.append(self._parse_or_expr())
             while self._peek().kind is _TokenKind.COMMA:
                 self._next()
                 arguments.append(self._parse_or_expr())
-        self._expect(_TokenKind.RPAREN)
+        self._close(_TokenKind.RPAREN)
         return FunctionCall(name=name, arguments=arguments)
 
     def _parse_location_path(self) -> LocationPath:
@@ -281,9 +302,9 @@ class _Parser:
             raise self._error("expected a step name, '*' or '@'")
         predicates: List[Predicate] = []
         while self._peek().kind is _TokenKind.LBRACKET:
-            self._next()
+            self._open(_TokenKind.LBRACKET)
             inner = self._parse_or_expr()
-            self._expect(_TokenKind.RBRACKET)
+            self._close(_TokenKind.RBRACKET)
             predicates.append(Predicate(inner))
         return Step(axis=axis, node_test=node_test, predicates=predicates)
 

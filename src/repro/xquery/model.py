@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
-from repro.xpath.ast import BinaryOp, LocationPath
+from repro.xpath.ast import BinaryOp
 from repro.xpath.patterns import PathPattern
 from repro.xquery.errors import WorkloadError
 
@@ -119,11 +119,6 @@ class NormalizedQuery:
     update_kind: Optional[UpdateKind] = None
     #: For updates: the simple-path subtrees touched by the modification.
     touched_patterns: List[PathPattern] = field(default_factory=list)
-
-    @property
-    def indexable_predicates(self) -> List[PathPredicate]:
-        """Predicates that an XML pattern index could answer."""
-        return list(self.predicates)
 
     def all_patterns(self) -> List[PathPattern]:
         """Every pattern the statement mentions (predicates + extraction)."""

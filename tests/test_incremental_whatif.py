@@ -1,13 +1,14 @@
 """Tests of the incremental what-if evaluation engine.
 
 The incremental engine (inverted relevance map + delta evaluation +
-lazy-greedy search) must be *exactly* equivalent to the legacy full
-re-evaluation (``use_incremental=False``): same configurations in the
-same order, same benefits, same per-query breakdowns.  The randomized
-test sweeps random candidate subsets, budgets, and all three search
-algorithms to guard that equivalence; the remaining tests pin down the
-invalidation contract (relevance map and plan cache keyed to the
-database's ``data_signature()``).
+lazy-greedy search) must agree with the memo-free reference in
+``tests/reference/advisor_reference.py`` (full re-evaluation on a fresh
+optimizer per configuration, exhaustive search loops): same
+configurations in the same order, same benefits, same per-query
+breakdowns.  The randomized test sweeps random candidate subsets,
+budgets, and all three search algorithms to guard that equivalence; the
+remaining tests pin down the invalidation contract (relevance map and
+plan cache keyed to the database's ``data_signature()``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 import pytest
 
 from _support import TINY_SITE_XML, build_varied_database
+from reference.advisor_reference import ReferenceEvaluator, reference_search
 from repro.advisor.benefit import ConfigurationEvaluator
 from repro.advisor.candidates import CandidateSet, enumerate_basic_candidates
 from repro.advisor.config import AdvisorParameters, SearchAlgorithm
@@ -59,11 +61,9 @@ def whatif_setup(varied_database):
     return varied_database, queries, generalization
 
 
-def _run_search(database, queries, candidates, algorithm, budget, incremental):
+def _run_search(database, queries, candidates, algorithm, budget):
     parameters = AdvisorParameters(disk_budget_bytes=budget,
-                                   search_algorithm=algorithm,
-                                   use_incremental=incremental,
-                                   enable_plan_cache=incremental)
+                                   search_algorithm=algorithm)
     evaluator = ConfigurationEvaluator(database, queries, parameters)
     search = create_search(algorithm, evaluator, parameters)
     return search.search(candidates, None)
@@ -71,8 +71,9 @@ def _run_search(database, queries, candidates, algorithm, budget, incremental):
 
 class TestRandomizedEquivalence:
     def test_incremental_matches_legacy_across_algorithms(self, whatif_setup):
-        """Byte-identical configurations and benefits for random candidate
-        subsets, random budgets, and all three algorithms."""
+        """Identical configurations and benefits for random candidate
+        subsets, random budgets, and all three algorithms, against the
+        legacy exhaustive loops kept as the reference."""
         database, queries, generalization = whatif_setup
         pool = list(generalization.candidates)
         evaluator = ConfigurationEvaluator(database, queries)
@@ -84,10 +85,11 @@ class TestRandomizedEquivalence:
             subset = CandidateSet(rng.sample(pool, count))
             budget = rng.choice([None, full_size * rng.uniform(0.05, 0.9)])
             for algorithm in SearchAlgorithm:
-                legacy = _run_search(database, queries, subset, algorithm,
-                                     budget, incremental=False)
+                legacy = reference_search(algorithm.value,
+                                          ReferenceEvaluator(database, queries),
+                                          subset, budget)
                 incremental = _run_search(database, queries, subset, algorithm,
-                                          budget, incremental=True)
+                                          budget)
                 context = (f"trial {trial}, {algorithm.value}, "
                            f"budget {budget}, {count} candidates")
                 assert [d.key for d in legacy.configuration] == \
@@ -98,10 +100,12 @@ class TestRandomizedEquivalence:
                     legacy.benefit.total_size_bytes), context
 
     def test_delta_update_equals_full_evaluation(self, whatif_setup):
-        """update() must return exactly what evaluate() would."""
+        """update() must return exactly what a from-scratch evaluation of
+        the new configuration returns."""
         database, queries, generalization = whatif_setup
         definitions = [c.to_definition() for c in generalization.candidates]
         evaluator = ConfigurationEvaluator(database, queries)
+        reference = ReferenceEvaluator(database, queries)
         rng = random.Random(7)
         base = evaluator.evaluate(IndexConfiguration())
         chosen: list = []
@@ -109,10 +113,10 @@ class TestRandomizedEquivalence:
             definition = rng.choice(definitions)
             base = evaluator.update(base, add=[definition])
             chosen.append(definition)
-            full = evaluator.evaluate(IndexConfiguration(chosen))
+            full = reference.evaluate(IndexConfiguration(chosen))
             assert base.total_benefit == pytest.approx(full.total_benefit)
             assert base.total_size_bytes == pytest.approx(full.total_size_bytes)
-            by_id = {e.query_id: e for e in full.query_evaluations}
+            by_id = {row.query_id: row for row in full.rows}
             for row in base.query_evaluations:
                 assert row.cost_with_configuration == pytest.approx(
                     by_id[row.query_id].cost_with_configuration)
@@ -121,22 +125,22 @@ class TestRandomizedEquivalence:
         while chosen:
             removed = chosen.pop()
             base = evaluator.update(base, remove=[removed])
-            full = evaluator.evaluate(IndexConfiguration(chosen))
+            full = reference.evaluate(IndexConfiguration(chosen))
             assert base.total_benefit == pytest.approx(full.total_benefit)
 
     def test_marginal_benefit_matches_legacy(self, whatif_setup):
+        """The delta gain equals the legacy full re-evaluation of the
+        extended configuration (the reference evaluator)."""
         database, queries, generalization = whatif_setup
         definitions = [c.to_definition() for c in generalization.candidates]
-        fast = ConfigurationEvaluator(database, queries,
-                                      AdvisorParameters(use_incremental=True))
-        slow = ConfigurationEvaluator(
-            database, queries,
-            AdvisorParameters(use_incremental=False, enable_plan_cache=False))
+        fast = ConfigurationEvaluator(database, queries)
+        slow = ReferenceEvaluator(database, queries)
         base_fast = fast.evaluate(IndexConfiguration(definitions[:2]))
         base_slow = slow.evaluate(IndexConfiguration(definitions[:2]))
         for definition in definitions[2:8]:
+            extended = slow.evaluate(IndexConfiguration(definitions[:2] + [definition]))
             assert fast.marginal_benefit(base_fast, definition) == pytest.approx(
-                slow.marginal_benefit(base_slow, definition))
+                extended.total_benefit - base_slow.total_benefit)
 
 
 class TestRelevanceMap:
@@ -238,31 +242,16 @@ class TestPlanCache:
         evaluate_indexes(query, database, definitions, optimizer=optimizer)
         assert optimizer.plan_calls > calls  # re-planned, not served stale
 
-    def test_plan_cache_can_be_disabled(self, whatif_setup):
-        database, queries, generalization = whatif_setup
-        definitions = [c.to_definition() for c in generalization.candidates][:3]
-        optimizer = Optimizer(database, enable_plan_cache=False)
-        query = next(q for q in queries if not q.is_update)
-        evaluate_indexes(query, database, definitions, optimizer=optimizer)
-        calls = optimizer.plan_calls
-        evaluate_indexes(query, database, definitions, optimizer=optimizer)
-        assert optimizer.plan_calls == calls + 1
-        assert optimizer.plan_cache_hits == 0
-
 
 class TestCostingCounters:
     def test_delta_evaluation_costs_fewer_queries(self, whatif_setup):
         """The headline claim: the incremental engine issues far fewer
-        per-query what-if costings than legacy full re-evaluation."""
+        per-query what-if costings than full re-evaluation per step."""
         database, queries, generalization = whatif_setup
-        counts = {}
-        for incremental in (False, True):
-            parameters = AdvisorParameters(use_incremental=incremental,
-                                           enable_plan_cache=incremental)
-            evaluator = ConfigurationEvaluator(database, queries, parameters)
-            search = create_search(SearchAlgorithm.GREEDY_HEURISTIC,
-                                   evaluator, parameters)
-            search.search(generalization.candidates, None)
-            counts[incremental] = evaluator.query_costings
-        assert counts[True] < counts[False]
-        assert counts[False] / max(counts[True], 1) >= 3.0
+        evaluator = ConfigurationEvaluator(database, queries)
+        search = create_search(SearchAlgorithm.GREEDY_HEURISTIC, evaluator)
+        search.search(generalization.candidates, None)
+        reference = ReferenceEvaluator(database, queries)
+        reference_search("greedy-heuristic", reference,
+                         generalization.candidates, None)
+        assert reference.costings / max(evaluator.query_costings, 1) >= 3.0

@@ -27,6 +27,7 @@ from _support import (
     assert_counter_parity,
     build_varied_database,
 )
+from reference.advisor_reference import ReferenceEvaluator
 from repro.advisor.advisor import XmlIndexAdvisor
 from repro.advisor.benefit import ConfigurationEvaluator
 from repro.advisor.config import AdvisorParameters
@@ -229,8 +230,8 @@ def test_randomized_interleaved_equivalence(workload_kind):
 def test_randomized_advisor_equivalence_across_changes():
     """Through a random change sequence, a long-lived evaluator and a
     long-lived advisor must produce, after every step, byte-identical
-    benefits and recommendations to ones constructed fresh (full
-    re-evaluation, empty caches) over a database rebuilt from the live
+    benefits to the memo-free reference and recommendations identical
+    to a fresh advisor's, both over a database rebuilt from the live
     documents."""
     base = generate_xmark_database(XMarkConfig(scale=0.02, seed=5), "adv")
     donor = generate_xmark_database(XMarkConfig(scale=0.03, seed=55), "adv-donor")
@@ -258,13 +259,11 @@ def test_randomized_advisor_equivalence_across_changes():
             collection.remove_document(rng.randrange(len(collection)))
 
         rebuilt = _rebuilt(base)
-        fresh = ConfigurationEvaluator(
-            rebuilt, queries, AdvisorParameters(use_incremental=False))
         maintained = evaluator.evaluate(configuration)  # auto-refreshes
-        reference = fresh.evaluate(configuration)
+        reference = ReferenceEvaluator(rebuilt, queries).evaluate(configuration)
         assert maintained.total_benefit == reference.total_benefit
         assert maintained.total_size_bytes == reference.total_size_bytes
-        by_id = {row.query_id: row for row in reference.query_evaluations}
+        by_id = {row.query_id: row for row in reference.rows}
         for row in maintained.query_evaluations:
             assert row.cost_without_indexes == by_id[row.query_id].cost_without_indexes
             assert row.cost_with_configuration == by_id[row.query_id].cost_with_configuration
@@ -530,15 +529,14 @@ class TestFineGrainedInvalidation:
 
         delta = evaluator.update(base)
         assert evaluator._last_stale == frozenset({"w-q1"})
-        reference = ConfigurationEvaluator(
-            database, queries, AdvisorParameters(use_incremental=False)
-        ).evaluate(base.configuration)
+        reference = ReferenceEvaluator(database, queries).evaluate(
+            base.configuration)
         # The scenario is meaningful: the pre-change row is wrong now.
         assert base.query_evaluations[0].cost_with_configuration \
-            != reference.query_evaluations[0].cost_with_configuration
+            != reference.rows[0].cost_with_configuration
         assert delta.total_benefit == reference.total_benefit
         assert delta.query_evaluations[0].cost_with_configuration \
-            == reference.query_evaluations[0].cost_with_configuration
+            == reference.rows[0].cost_with_configuration
 
     def test_delta_update_across_change_matches_full(self):
         """update() against a base from the immediately preceding epoch

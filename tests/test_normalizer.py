@@ -235,3 +235,48 @@ class TestParseErrorsAreTyped:
             normalize_statement(text)
         assert isinstance(caught.value.__cause__, XPathParseError)
         assert caught.value.statement == text
+
+
+class TestNestingLimit:
+    """Deep nesting is a parse error with an offset, never a bare
+    ``RecursionError`` (which 246 parentheses used to raise)."""
+
+    @staticmethod
+    def _parenthesized(levels):
+        # The predicate bracket is one level, the parentheses the rest.
+        return ("/site/people/person[" + "(" * (levels - 1) + "age > 5"
+                + ")" * (levels - 1) + "]/name")
+
+    @pytest.mark.parametrize("shape", ["parentheses", "predicates", "calls"])
+    def test_limit_parses_and_one_past_it_is_typed(self, shape):
+        from repro.xpath.errors import XPathParseError
+        from repro.xpath.parser import MAX_NESTING
+
+        def statement(levels):
+            if shape == "parentheses":
+                return self._parenthesized(levels)
+            if shape == "predicates":
+                return "/site" + "[a" * levels + " = 1" + "]" * levels
+            return ("/site/people/person[" + "not(" * (levels - 1) + "age > 5"
+                    + ")" * (levels - 1) + "]")
+
+        assert normalize_statement(statement(MAX_NESTING)).predicates
+        text = statement(MAX_NESTING + 1)
+        with pytest.raises(QueryParseError,
+                           match=rf"nesting deeper than {MAX_NESTING} levels"
+                                 r".* at offset \d+") as caught:
+            normalize_statement(text)
+        assert isinstance(caught.value.__cause__, XPathParseError)
+        # The offset points at the bracket that opened one level too many.
+        assert text[caught.value.__cause__.position] in "(["
+
+    def test_far_past_the_limit_in_every_language(self):
+        deep = "(" * 400 + "$p/age > 5" + ")" * 400
+        for text in (self._parenthesized(400),
+                     f'for $p in doc("x")/site/people/person where {deep} '
+                     'return $p/name',
+                     "SELECT 1 FROM t WHERE XMLEXISTS('$d/site/people/person["
+                     + "(" * 400 + "age > 5" + ")" * 400
+                     + "]' PASSING doc AS \"d\")"):
+            with pytest.raises(QueryParseError, match="nesting deeper than"):
+                normalize_statement(text)

@@ -202,6 +202,20 @@ class TestTelemetryCli:
         assert offset in captured.err
         assert "Traceback" not in captured.err + captured.out
 
+    def test_over_nested_statement_is_one_error_line(self, capsys):
+        from repro.xpath.parser import MAX_NESTING
+
+        levels = MAX_NESTING + 200
+        query = ("/site/people/person[" + "(" * levels + "age > 5"
+                 + ")" * levels + "]/name")
+        assert main(["explain", "--scenario", "xmark-small",
+                     "--query", query]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "nesting deeper than" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     def test_explain_trace_renders_span_tree(self, capsys):
         code = main(["explain", "--scenario", "xmark-small", "--trace",
                      "--query",

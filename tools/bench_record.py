@@ -4,19 +4,10 @@
 Runs deterministic-workload comparisons at env-capped sizes and dumps
 the numbers to ``BENCH_advisor.json`` (override with ``--output``):
 
-* **E3 (advisor search)** -- the budget-sweep configuration search on
-  the XMark training workload, legacy full re-evaluation vs the
-  incremental what-if engine: wall time, per-query what-if costings,
-  optimizer plan calls, and an equivalence flag.
 * **E5 (execution)** -- interpretive document scan vs the columnar
   engine's scan over the XMark query workload: wall time per mode and
   the speedup (the engine's time keeps the ``summary_seconds`` field
   name, so the series stays comparable across records).
-* **E7 (routing)** -- collection-scoped costing on the co-resident
-  XMark+TPoX database vs the whole-database cost model: what-if
-  re-costings after a single-collection document add (deterministic
-  count), documents examined by routed and unrouted scans, and the
-  exactness flags (results, delta benefits, cached recommendations).
 * **E10 (online tuning)** -- the autonomous loop vs the offline
   advisor: stationary byte-identity, drift detection + re-convergence
   after an injected workload shift, and the bounded-compression counts
@@ -34,9 +25,7 @@ the numbers to ``BENCH_advisor.json`` (override with ``--output``):
 Sizes are controlled by ``REPRO_SMOKE_XMARK_SCALE`` (default ``0.1``)
 so CI stays fast; run with a larger scale locally for headline numbers.
 
-The exit status doubles as a CI gate: non-zero when a comparison lost
-equivalence, the routing re-costing ratio fell below
-``REPRO_SMOKE_MIN_ROUTING_RATIO`` (default ``2``), the
+The exit status doubles as a CI gate: non-zero when the
 online loop lost convergence/boundedness, its compression ratio
 fell below ``REPRO_SMOKE_MIN_ONLINE_COMPRESSION`` (default ``2``), the
 recovery run lost convergence/result identity, its overhead ratio
@@ -62,7 +51,6 @@ sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.executor.measurement import measure_scan_modes
-from repro.tools.whatif_compare import compare_search_modes
 from repro.workloads.xmark import (
     XMarkConfig,
     generate_xmark_database,
@@ -87,25 +75,6 @@ def _scale(default: float = 0.1) -> float:
     return _env_float("REPRO_SMOKE_XMARK_SCALE", default)
 
 
-def record_e3_search(database, workload) -> dict:
-    """Legacy-vs-incremental budget sweep (greedy-heuristic + top-down)."""
-    sweep = compare_search_modes(database, workload)
-    legacy, incr = sweep.totals["legacy"], sweep.totals["incremental"]
-    return {
-        "candidates": sweep.candidate_count,
-        "queries": sweep.query_count,
-        "legacy": {"seconds": round(legacy["seconds"], 4),
-                   "query_costings": legacy["costings"],
-                   "plan_calls": legacy["plan_calls"]},
-        "incremental": {"seconds": round(incr["seconds"], 4),
-                        "query_costings": incr["costings"],
-                        "plan_calls": incr["plan_calls"]},
-        "identical_configurations": sweep.identical,
-        "costings_ratio": round(sweep.costings_ratio, 2),
-        "time_speedup": round(sweep.time_speedup, 2),
-    }
-
-
 def record_e5_execution(database, workload) -> dict:
     """Interpretive scan vs columnar engine scan wall times."""
     measurements = measure_scan_modes(database, workload)
@@ -116,27 +85,6 @@ def record_e5_execution(database, workload) -> dict:
         "summary_seconds": round(engine.total_seconds, 4),
         "speedup": round(interpretive.total_seconds
                          / max(engine.total_seconds, 1e-9), 2),
-    }
-
-
-def record_e7_routing(scale: float) -> dict:
-    """Routed vs unrouted scans + what-if re-costing (every number is a
-    deterministic count or flag)."""
-    from repro.tools.routing_compare import compare_routing_modes
-
-    comparison = compare_routing_modes(scale=scale)
-    return {
-        "xmark_documents": comparison.xmark_documents,
-        "ballast_documents": comparison.ballast_documents,
-        "routed_documents_examined": comparison.routed_documents_examined,
-        "unrouted_documents_examined": comparison.unrouted_documents_examined,
-        "recostings_routed": comparison.recostings_routed,
-        "recostings_unrouted": comparison.recostings_unrouted,
-        "recosting_ratio": round(comparison.recosting_ratio, 2),
-        "cross_recostings": comparison.cross_recostings,
-        "identical_results": comparison.identical_results,
-        "benefits_identical": comparison.benefits_identical,
-        "configurations_identical": comparison.configurations_identical,
     }
 
 
@@ -270,9 +218,7 @@ def main() -> int:
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),
         "xmark_scale": scale,
-        "e3_search": record_e3_search(database, workload),
         "e5_execution": record_e5_execution(database, workload),
-        "e7_routing": record_e7_routing(scale),
         "e15_telemetry": record_e15_telemetry(scale),
         "e10_online": record_e10_online(scale),
         "e12_recovery": record_e12_recovery(scale),
@@ -284,24 +230,12 @@ def main() -> int:
     entries.append(entry)
     _write_history(args.output, entries)
 
-    e3, e5 = entry["e3_search"], entry["e5_execution"]
-    e7 = entry["e7_routing"]
+    e5 = entry["e5_execution"]
     e10, e12 = entry["e10_online"], entry["e12_recovery"]
     e15 = entry["e15_telemetry"]
     print(f"wrote {args.output} (xmark scale {scale})")
-    print(f"  E3: identical={e3['identical_configurations']} "
-          f"costings {e3['legacy']['query_costings']}"
-          f"->{e3['incremental']['query_costings']} "
-          f"({e3['costings_ratio']}x), "
-          f"time {e3['legacy']['seconds']}s->{e3['incremental']['seconds']}s "
-          f"({e3['time_speedup']}x)")
     print(f"  E5: scan {e5['interpretive_seconds']}s -> engine "
           f"{e5['summary_seconds']}s ({e5['speedup']}x)")
-    print(f"  E7: scans examine {e7['unrouted_documents_examined']}"
-          f"->{e7['routed_documents_examined']} document(s), "
-          f"re-costings {e7['recostings_unrouted']}"
-          f"->{e7['recostings_routed']} ({e7['recosting_ratio']}x), "
-          f"cross={e7['cross_recostings']}")
     print(f"  E15: identical={e15['identical_results']} "
           f"untraced {e15['untraced_seconds']}s -> traced "
           f"{e15['traced_seconds']}s ({e15['overhead_ratio']}x), "
@@ -322,19 +256,8 @@ def main() -> int:
           f"({e12['overhead_ratio']}x over {e12['faults_injected']} "
           f"fault(s), {e12['rollbacks']} rollback(s))")
 
-    min_routing_ratio = _env_float("REPRO_SMOKE_MIN_ROUTING_RATIO", 2.0)
     min_online_compression = _env_float(
         "REPRO_SMOKE_MIN_ONLINE_COMPRESSION", 2.0)
-    if not e3["identical_configurations"]:
-        return 1
-    if not (e7["identical_results"] and e7["benefits_identical"]
-            and e7["configurations_identical"]) or e7["cross_recostings"]:
-        print("  FAIL: routing comparison lost equivalence")
-        return 1
-    if e7["recosting_ratio"] < min_routing_ratio:
-        print(f"  FAIL: routing re-costing ratio {e7['recosting_ratio']}x "
-              f"below the floor {min_routing_ratio}x")
-        return 1
     if not e10["converged"]:
         print("  FAIL: online tuning loop lost convergence/boundedness")
         return 1
